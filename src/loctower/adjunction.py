@@ -28,14 +28,48 @@ from .words import (
 )
 
 
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+# Miller-Rabin with the bases _SMALL_PRIMES is exact below this bound
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality test, exact for p < MILLER_RABIN_BOUND.
+
+    Trial division by the first 13 primes decides every p < 43^2; larger p
+    go through strong-probable-prime tests to those same 13 bases, which no
+    composite below the bound passes.  Larger p that trial division does
+    not settle are refused with a ValueError naming the bound.
+    """
+    if p in _SMALL_PRIMES:
+        return True
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
             return False
-        f += 1
+    if p < 43 * 43:
+        return True
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality is only decided below {MILLER_RABIN_BOUND} "
+            "(deterministic Miller-Rabin bound)"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        y = pow(a, d, p)
+        if y == 1 or y == p - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -250,23 +284,33 @@ def _power_of(x: Word, a: Word) -> int | None:
 
 
 def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
-    """Canonical representative of the left coset w<x>.
+    """Canonical representative of the left coset w<x>, for nontrivial x.
 
     Returns (rep, e) with w = rep * x^e; the representative is the minimal
     element of the coset under (length, letters) order, which makes it
     unique per coset.
+
+    Write x = c u c^-1 with u cyclically reduced, and let C be the number of
+    letters w cancels against c u u u ... (for k > 0; against c u^-1 u^-1 ...
+    for k < 0).  Then |w x^k| = |w| - k|u| while |c| + k|u| < C, and
+    |w| + 2|c| + k|u| - 2C once |c| + k|u| > C: in k > 0 the length falls
+    strictly, then rises strictly.  So with k0 = max(0, (C - |c|) // |u|)
+    every shortest w x^k with k > 0 has k in {k0, k0 + 1}, and the minimum
+    over all k is among the at most 5 candidates 0, +-k0, +-(k0 + 1).  C is
+    read off one product w x^(+-K) with K|u| > |w|, which cancels all C
+    letters.  The cost is O(|w| + |x|).
     """
-    _, core = cyclic_reduce(x)
-    bound = 2 * len(w) // max(1, len(core)) + 2
-    best = None
-    best_k = 0
-    for k in range(-bound, bound + 1):
-        candidate = multiply(w, power(x, k))
-        key = (len(candidate), candidate.letters)
-        if best is None or key < best:
-            best = key
-            best_k = k
-    return Word(best[1]), -best_k
+    conj, core = cyclic_reduce(x)
+    reach = len(w) // len(core) + 2
+    candidates = {0}
+    for s in (1, -1):
+        far = power(x, s * reach)
+        cancelled = (len(w) + len(far) - len(multiply(w, far))) // 2
+        k0 = max(0, (cancelled - len(conj)) // len(core))
+        candidates.update((s * k0, s * (k0 + 1)))
+    reps = {k: multiply(w, power(x, k)) for k in candidates}
+    best = min(candidates, key=lambda k: (len(reps[k]), reps[k].letters))
+    return reps[best], -best
 
 
 def amalgam_identity(group: AdjunctionGroup) -> AmalgamElement:
@@ -469,14 +513,12 @@ def witness_nonperfect(n: int, p: int, d: int) -> NonPerfectReport:
     group = adjoin_root(base_rank, distinguished, p, d)
     # the defining relator t^(p^d) * x^-1 must die in the Prüfer quotient
     relator = amalgam_normalize(
-        group, (TPower(1),) * group.relation_exponent + (invert(distinguished),)
+        group, (TPower(group.relation_exponent), invert(distinguished))
     )
     if not relator.is_identity():
         raise AssertionError("defining relation fails in the amalgam")
     t_image = prufer(p, 1, d)
-    relator_image = prufer_add(
-        prufer_scale(t_image, group.relation_exponent), prufer_zero(p)
-    )
+    relator_image = prufer_quotient_map(group, relator)
     if not relator_image.is_zero():
         raise AssertionError("defining relator has nonzero Prüfer image")
     # t attains 1/p^d, an element of exact order p^d

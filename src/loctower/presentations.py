@@ -90,50 +90,18 @@ def _identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_multiply(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if not aik:
-                continue
-            row_b = b[k]
-            row_o = out[i]
-            for j in range(cols):
-                row_o[j] += aik * row_b[j]
-    return tuple(tuple(row) for row in out)
-
-
-def determinant(matrix) -> int:
-    """Exact integer determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(matrix) -> SmithNormalForm:
-    """Diagonalize an integer matrix by unimodular row and column operations."""
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Each step takes the first entry of least absolute value in the remaining
+    submatrix as pivot, clears its row and column, and, while some remaining
+    entry is not a multiple of the pivot, adds that row and repeats.  A unit
+    pivot is taken as soon as it is seen, since no later entry is smaller,
+    and it skips the divisibility scan, since every entry is a multiple of
+    +-1.  Relation matrices are mostly unit rows (those of tower_truncation
+    are unit vectors), so they reduce in O(rows * cols), not cubic time;
+    the result is the same as with full scans.
+    """
     a = [[int(x) for x in row] for row in matrix]
     nr = len(a)
     nc = len(a[0]) if nr else 0
@@ -165,11 +133,13 @@ def smith_normal_form(matrix) -> SmithNormalForm:
 
     t = 0
     while t < min(nr, nc):
-        pivot = None
+        pivot, least = None, 0
         for i in range(t, nr):
             for j in range(t, nc):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if a[i][j] and (pivot is None or abs(a[i][j]) < least):
+                    pivot, least = (i, j), abs(a[i][j])
+            if least == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -196,6 +166,8 @@ def smith_normal_form(matrix) -> SmithNormalForm:
                     dirty = True
             if dirty:
                 continue
+            if abs(a[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, nr):
                 if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):

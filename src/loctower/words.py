@@ -164,16 +164,16 @@ def format_word(w: Word, symbol: str = "x") -> str:
     if not w:
         return "1"
     parts = []
-    letters = w.letters
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        e = (j - i) if letters[i] > 0 else -(j - i)
-        base = abs(letters[i])
-        parts.append(f"{symbol}{base}" + (f"^{e}" if e != 1 else ""))
-        i = j
+    current, run = w.letters[0], 0
+    for l in w.letters + (0,):  # 0 is never a letter: it closes the last run
+        if l == current:
+            run += 1
+            continue
+        if current > 0:
+            parts.append(f"{symbol}{current}^{run}" if run != 1 else f"{symbol}{current}")
+        else:
+            parts.append(f"{symbol}{-current}^{-run}")
+        current, run = l, 1
     return "*".join(parts)
 
 

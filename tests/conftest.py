@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from loctower.words import Word, reduce
+from loctower.words import Word, cyclic_reduce, multiply, power, reduce
 
 
 def letter_strategy(rank: int = 3):
@@ -118,3 +118,130 @@ def oracle_primitive_root(letters) -> tuple[tuple, int]:
                 acc = concat_reduce(acc, cand)
                 k += 1
     return best
+
+
+def oracle_coset_rep(x: Word, w: Word) -> tuple[Word, int]:
+    """Minimal w * x^k under (length, letters) by trying every k in a window.
+
+    A shortest w * x^k is no longer than w, so |k| * |core(x)| <= 2|w|, and
+    the window |k| <= 2|w| / |core| + 2 holds every candidate.  Returns
+    (rep, e) with w = rep * x^e.
+    """
+    _, core = cyclic_reduce(x)
+    bound = 2 * len(w) // max(1, len(core)) + 2
+    best = None
+    best_k = 0
+    for k in range(-bound, bound + 1):
+        candidate = multiply(w, power(x, k))
+        key = (len(candidate), candidate.letters)
+        if best is None or key < best:
+            best = key
+            best_k = k
+    return Word(best[1]), -best_k
+
+
+def oracle_smith_normal_form(matrix):
+    """(d, u, v) by the Smith reduction with a full pivot search and a full
+    divisibility scan at every step.  The library takes the same steps but
+    stops either scan early at a unit pivot, so the results must be equal."""
+    a = [list(row) for row in matrix]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):
+        for row in a + v:
+            row[dst] += c * row[src]
+
+    for t in range(min(nr, nc)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            dirty = False
+            for i in range(nr):
+                if i != t and a[i][t]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(nc):
+                if j != t and a[t][j]:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offenders = [
+                i for i in range(t + 1, nr) if any(a[i][j] % a[t][t] for j in range(t + 1, nc))
+            ]
+            if not offenders:
+                break
+            add_row(offenders[0], t, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    return tuple(tuple(tuple(row) for row in m) for m in (a, u, v))
+
+
+def matrix_multiply(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            aik = a[i][k]
+            if not aik:
+                continue
+            row_b = b[k]
+            row_o = out[i]
+            for j in range(cols):
+                row_o[j] += aik * row_b[j]
+    return tuple(tuple(row) for row in out)
+
+
+def determinant(matrix) -> int:
+    """Exact integer determinant via fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -17,8 +17,6 @@ from loctower.adjunction import (
 from loctower.presentations import (
     AbelianInvariants,
     abelianization,
-    determinant,
-    matrix_multiply,
     relation_matrix,
     smith_normal_form,
     triangle_group,
@@ -49,7 +47,9 @@ from loctower.words import (
 )
 
 from conftest import (
+    determinant,
     iter_reduced_tuples,
+    matrix_multiply,
     oracle_primitive_root,
     random_nonempty_word,
     random_word,

@@ -2,14 +2,19 @@
 non-perfectness witness pipeline."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loctower.adjunction import (
+    MILLER_RABIN_BOUND,
     AdjunctionGroup,
     AmalgamElement,
     PruferElement,
     TPower,
+    _coset_rep,
     adjoin_root,
     amalgam_identity,
     amalgam_invert,
@@ -31,17 +36,57 @@ from loctower.words import (
     IdentityWordError,
     Word,
     invert,
+    multiply,
     power,
     reduce,
     word,
 )
 
-from conftest import random_word
+from conftest import (
+    nonempty_words_strategy,
+    oracle_coset_rep,
+    random_word,
+    words_strategy,
+)
 
 
 class TestPrimality:
     def test_cases(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        sieve = [False, False] + [True] * 9999
+        for i in range(2, 101):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+        assert [is_prime(n) for n in range(10001)] == sieve
+
+    def test_large_and_strong_pseudoprimes(self):
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1)
+        assert time.perf_counter() - start < 0.1
+        # 2047 and 3215031751 are strong pseudoprimes to the first 1 and 4
+        # prime bases; 561 is a Carmichael number
+        for n in (2047, 3215031751, 561, (2**31 - 1) * 1000003):
+            assert not is_prime(n)
+
+    def test_refuses_beyond_bound(self):
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(2**89 - 1)
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            PruferElement(2**89 - 1, 1, 1)
+
+
+class TestCosetRep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nonempty_words_strategy(rank=3, max_len=5),
+        words_strategy(rank=3, max_len=4),
+        words_strategy(rank=3, max_len=10),
+        st.integers(-12, 12),
+    )
+    def test_matches_window_oracle(self, core, conj, head, k):
+        x = multiply(multiply(conj, core), invert(conj))
+        w = multiply(head, power(x, k))
+        assert _coset_rep(x, w) == oracle_coset_rep(x, w)
 
 
 class TestPrufer:

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -281,6 +282,15 @@ class TestWitness:
         assert data["quotient"] == "Z/2"
         assert data["rootless"] is True
         assert data["base_rank"] == 4
+
+    def test_large_prime_power_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = invoke(
+            capsys, "witness", "--level", "2", "--prime", "101", "--depth", "4"
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        assert "quotient=Z/104060401" in out
 
 
 class TestPrufer:

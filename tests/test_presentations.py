@@ -11,11 +11,9 @@ from loctower.presentations import (
     Presentation,
     PresentationSyntaxError,
     abelianization,
-    determinant,
     exponent_sums,
     format_abelian_invariants,
     is_perfect,
-    matrix_multiply,
     parse_presentation,
     relation_matrix,
     smith_normal_form,
@@ -25,7 +23,7 @@ from loctower.presentations import (
 )
 from loctower.words import IDENTITY, Word, invert, multiply, power, word
 
-from conftest import random_word
+from conftest import determinant, matrix_multiply, oracle_smith_normal_form, random_word
 
 
 def random_matrix(rng, max_dim=8, bound=20):
@@ -93,6 +91,30 @@ class TestSmithNormalForm:
                 smith_normal_form(m).diagonal()
                 == smith_normal_form(shuffled).diagonal()
             )
+
+    def test_unit_dense_and_truncation_matrices(self):
+        rng = random.Random(4242)
+        matrices = [relation_matrix(tower_truncation(7))]
+        for _ in range(40):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            matrices.append(
+                tuple(tuple(rng.choice((-1, 1, -1, 1, 0, 2)) for _ in range(cols)) for _ in range(rows))
+            )
+        for m in matrices:
+            check_snf(m, smith_normal_form(m))
+
+    def test_matches_full_scan_reference(self):
+        rng = random.Random(1993)
+        matrices = [relation_matrix(tower_truncation(n)) for n in range(1, 6)]
+        for _ in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            values = rng.choice(((-1, 1), (-1, 0, 1), (-2, -1, 0, 1, 2), tuple(range(-9, 10))))
+            matrices.append(
+                tuple(tuple(rng.choice(values) for _ in range(cols)) for _ in range(rows))
+            )
+        for m in matrices:
+            snf = smith_normal_form(m)
+            assert (snf.d, snf.u, snf.v) == oracle_smith_normal_form(m)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,11 @@ class TestTextSyntax:
     def test_round_trip(self, w):
         assert parse_word(format_word(w)) == w
 
+    @given(st.lists(st.tuples(letter_strategy(rank=3), st.integers(1, 40)), max_size=8))
+    def test_round_trip_long_runs(self, runs):
+        w = reduce(l for l, n in runs for _ in range(n))
+        assert parse_word(format_word(w)) == w
+
     @pytest.mark.parametrize(
         "text",
         ["x0", "x", "y1", "x1^", "(x1", "x1)", "x1^x2", "x-1", "2"],
