@@ -56,7 +56,6 @@ from .tower import (
     phi_preimage,
     promote,
     root_transfer,
-    tower_element,
 )
 from .words import (
     IDENTITY,

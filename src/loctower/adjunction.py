@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .roots import kth_root, primitive_root
+from .roots import is_prime, kth_root, primitive_root
 from .tower import TowerElement, promote
 from .words import (
     IdentityWordError,
@@ -26,51 +26,6 @@ from .words import (
     power,
     validate_rank,
 )
-
-
-_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
-# Miller-Rabin with the bases _SMALL_PRIMES is exact below this bound
-# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017).
-MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic primality test, exact for p < MILLER_RABIN_BOUND.
-
-    Trial division by the first 13 primes decides every p < 43^2; larger p
-    go through strong-probable-prime tests to those same 13 bases, which no
-    composite below the bound passes.  Larger p that trial division does
-    not settle are refused with a ValueError naming the bound.
-    """
-    if p in _SMALL_PRIMES:
-        return True
-    if p < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if p % q == 0:
-            return False
-    if p < 43 * 43:
-        return True
-    if p >= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"primality is only decided below {MILLER_RABIN_BOUND} "
-            "(deterministic Miller-Rabin bound)"
-        )
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        y = pow(a, d, p)
-        if y == 1 or y == p - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % p
-            if y == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

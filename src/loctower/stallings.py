@@ -1,21 +1,17 @@
 """Folded subgroup graphs for finitely generated subgroups of free groups.
 
 A subgroup graph is a folded, labeled, core graph with a basepoint; reduced
-loops at the basepoint spell exactly the elements of the subgroup.  Graphs
-are immutable after construction and safe for concurrent queries.
+loops at the basepoint spell exactly the elements of the subgroup.  Each
+edge also carries a witness word over the generating words, so a member's
+path reads off its expression over them.  Graphs are immutable after
+construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass, field
 
-from .words import IDENTITY, Word, invert, reduce, substitute
-
-
-class ExpressionSearchExhausted(RuntimeError):
-    """express() could not find a generator expression within its budget."""
+from .words import IDENTITY, Word, invert, multiply, substitute
 
 
 @dataclass(frozen=True)
@@ -24,44 +20,26 @@ class SubgroupGraph:
 
     ``edges`` holds positively-oriented edges ``(src, dst, label)``; every
     edge may also be traversed backwards (letter ``-label``).
+    ``witnesses[i]`` is the word over y_1..y_m carried by ``edges[i]``; the
+    backward traversal carries its inverse.
     """
 
     generating_words: tuple[Word, ...]
     num_vertices: int
     edges: tuple[tuple[int, int, int], ...]
+    witnesses: tuple[Word, ...]
     _steps: dict = field(default_factory=dict, compare=False, repr=False)
-    _nontree: tuple = field(default=(), compare=False, repr=False)
-    _edge_basis: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        steps: dict[tuple[int, int], int] = {}
-        for u, v, label in self.edges:
-            steps[(u, label)] = v
-            steps[(v, -label)] = u
+        steps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for (u, v, label), y in zip(self.edges, self.witnesses):
+            steps[(u, label)] = (v, y.letters)
+            steps[(v, -label)] = (u, invert(y).letters)
         object.__setattr__(self, "_steps", steps)
-        # deterministic BFS spanning tree from the basepoint
-        seen = {0}
-        tree_edges: set[tuple[int, int, int]] = set()
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            labels = sorted(
-                (l for (u, l) in steps if u == v), key=lambda s: (abs(s), s < 0)
-            )
-            for l in labels:
-                t = steps[(v, l)]
-                if t not in seen:
-                    seen.add(t)
-                    tree_edges.add((v, t, l) if l > 0 else (t, v, -l))
-                    queue.append(t)
-        nontree = tuple(e for e in self.edges if e not in tree_edges)
-        object.__setattr__(self, "_nontree", nontree)
-        object.__setattr__(
-            self, "_edge_basis", {e: j for j, e in enumerate(nontree, start=1)}
-        )
 
     def step(self, vertex: int, letter: int) -> int | None:
-        return self._steps.get((vertex, letter))
+        hit = self._steps.get((vertex, letter))
+        return None if hit is None else hit[0]
 
 
 def rank(g: SubgroupGraph) -> int:
@@ -74,131 +52,116 @@ def graph_edge_lines(g: SubgroupGraph) -> list[str]:
     return [f"{u} {v} {label}" for u, v, label in g.edges]
 
 
-def build_graph(generators, fold_seed: int | None = None) -> SubgroupGraph:
+def build_graph(generators) -> SubgroupGraph:
     """Folded core graph of the subgroup generated by ``generators``.
 
-    Deterministic given input order; ``fold_seed`` randomizes the fold
-    schedule (the result is the same graph, used to test confluence).
+    The bouquet has one petal per generating word; the first edge of the
+    j-th petal carries the witness ``y_j`` and every other edge the empty
+    word.  Folding keeps this invariant: some P from the vertices to F(X)
+    with P(0) = 1 satisfies ``substitute(witness) = P(u) * a * P(v)^-1`` on
+    every edge u -a-> v.  Folding e2 = (u -a-> t2, L2) into
+    e1 = (u -a-> t1, L1) merges t2 into t1, left-multiplies the witnesses
+    of edges leaving t2 by L1^-1 L2 and right-multiplies those of edges
+    arriving at t2 by L2^-1 L1 (when t2 is the basepoint, which always
+    survives, t1 merges into t2 with the roles swapped); a parallel copy
+    (t1 = t2) is dropped.  Folding is confluent, so the graph does not
+    depend on the fold order; vertices are numbered by a BFS from the
+    basepoint that visits letters in the order 1, -1, 2, -2, ...
     """
     gens = tuple(generators)
     if not gens:
         raise ValueError("generator list must be non-empty")
 
-    # bouquet of loops; adjacency maps signed label -> set of targets
-    adj: list[dict[int, set[int]] | None] = [{}]
+    # the bouquet, as pending edges (u, letter, v, witness)
+    work: list[tuple[int, int, int, Word]] = []
+    size = 1
+    for j, g in enumerate(gens, start=1):
+        path = [0, *range(size, size + len(g) - 1), 0]
+        size += max(len(g) - 1, 0)
+        for k, letter in enumerate(g.letters):
+            work.append((path[k], letter, path[k + 1], Word((j,)) if k == 0 else IDENTITY))
 
-    def connect(u: int, v: int, signed: int) -> None:
-        adj[u].setdefault(signed, set()).add(v)
-        adj[v].setdefault(-signed, set()).add(u)
+    # out[v][signed letter] = (target, witness); None once v is merged away
+    out: list[dict[int, tuple[int, Word]] | None] = [{} for _ in range(size)]
+    # merged vertex v -> (w, d) with P(v) = d * P(w)
+    moved: dict[int, tuple[int, Word]] = {}
 
-    for g in gens:
-        prev = 0
-        for idx, letter in enumerate(g.letters):
-            if idx == len(g.letters) - 1:
-                nxt = 0
-            else:
-                adj.append({})
-                nxt = len(adj) - 1
-            connect(prev, nxt, letter)
-            prev = nxt
+    def resolve(v: int) -> tuple[int, Word]:
+        """Live vertex w and d with P(v) = d * P(w); compresses the path."""
+        chain = []
+        while v in moved:
+            chain.append(v)
+            v = moved[v][0]
+        d = IDENTITY
+        for u in reversed(chain):
+            d = multiply(moved[u][1], d)
+            moved[u] = (v, d)
+        return v, d
 
-    parent = list(range(len(adj)))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def merge(a: int, b: int) -> None:
-        a, b = find(a), find(b)
-        if a == b:
-            return
-        parent[b] = a
-        for signed, targets in adj[b].items():
-            adj[a].setdefault(signed, set()).update(targets)
-        adj[b] = None
-
-    rng = random.Random(fold_seed) if fold_seed is not None else None
-    dirty = True
-    while dirty:
-        dirty = False
-        vertices = [v for v in range(len(adj)) if find(v) == v]
-        if rng:
-            rng.shuffle(vertices)
-        for v in vertices:
-            if find(v) != v:
+    while work:
+        u, a, v, y = work.pop()
+        u, du = resolve(u)
+        v, dv = resolve(v)
+        if du or dv:
+            y = multiply(multiply(invert(du), y), dv)
+        hit = out[u].get(a)
+        if hit is None:
+            hit = out[v].get(-a)
+            if hit is None:
+                out[u][a] = (v, y)
+                out[v][-a] = (u, invert(y))
                 continue
-            signed_labels = list(adj[v].keys())
-            if rng:
-                rng.shuffle(signed_labels)
-            else:
-                signed_labels.sort(key=lambda s: (abs(s), s < 0))
-            for signed in signed_labels:
-                targets = sorted({find(t) for t in adj[v].get(signed, ())})
-                if len(targets) > 1:
-                    if rng:
-                        rng.shuffle(targets)
-                    merge(targets[0], targets[1])
-                    dirty = True
-                    break
-            if dirty:
-                break
-
-    # canonical single-target transition map on live vertices
-    steps: dict[tuple[int, int], int] = {}
-    live = set()
-    for v in range(len(adj)):
-        if find(v) != v:
-            continue
-        live.add(v)
-        for signed, targets in adj[v].items():
-            resolved = {find(t) for t in targets}
-            assert len(resolved) == 1, "graph is not folded"
-            steps[(v, signed)] = resolved.pop()
+            u, a, v, y = v, -a, u, invert(y)
+        t1, y1 = hit
+        if t1 == v:
+            continue  # parallel copy
+        # P(v) = y^-1 y1 P(t1); after the merge this edge equals hit
+        keep, gone, d = t1, v, multiply(invert(y), y1)
+        if gone == 0:
+            keep, gone, d = v, t1, invert(d)
+        moved[gone] = (keep, d)
+        for b, (x, m) in out[gone].items():
+            if x != gone:
+                del out[x][-b]
+            elif b < 0:
+                continue  # a loop is listed under both of its letters
+            work.append((gone, b, x, m))
+        out[gone] = None
 
     # trim to the core: drop non-basepoint vertices of degree <= 1
-    base = find(0)
-    degree = {v: 0 for v in live}
-    for (v, signed) in steps:
-        degree[v] += 1
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(live):
-            if v == base or degree[v] > 1:
-                continue
-            for (u, signed) in [key for key in steps if key[0] == v]:
-                t = steps.pop((u, signed))
-                if (t, -signed) in steps:
-                    steps.pop((t, -signed))
-                    degree[t] -= 1
-            live.discard(v)
-            changed = True
-            break
+    stack = [v for v in range(1, size) if out[v] is not None and len(out[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        if out[v] is None:
+            continue
+        for b, (x, _) in out[v].items():
+            del out[x][-b]
+            if x and len(out[x]) <= 1:
+                stack.append(x)
+        out[v] = None
 
     # deterministic renumbering by BFS from the basepoint
-    number = {base: 0}
-    order = [base]
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        labels = sorted(
-            (l for (u, l) in steps if u == v), key=lambda s: (abs(s), s < 0)
-        )
-        for l in labels:
-            t = steps[(v, l)]
+    number = {0: 0}
+    order = [0]
+    for v in order:
+        for b in sorted(out[v], key=lambda s: (abs(s), s < 0)):
+            t = out[v][b][0]
             if t not in number:
                 number[t] = len(order)
                 order.append(t)
-                queue.append(t)
 
     edges = sorted(
-        (number[u], number[steps[(u, l)]], l)
-        for (u, l) in steps
-        if l > 0 and u in number
+        (number[u], number[t], b, y)
+        for u in order
+        for b, (t, y) in out[u].items()
+        if b > 0
     )
-    return SubgroupGraph(gens, len(order), tuple(edges))
+    return SubgroupGraph(
+        gens,
+        len(order),
+        tuple((u, t, b) for u, t, b, _ in edges),
+        tuple(y for *_, y in edges),
+    )
 
 
 def trace(g: SubgroupGraph, w: Word, start: int = 0) -> int | None:
@@ -217,103 +180,28 @@ def contains(g: SubgroupGraph, w: Word) -> bool:
     return trace(g, w) == 0
 
 
-def express_in_basis(g: SubgroupGraph, w: Word) -> Word:
-    """Rewrite a subgroup element over the spanning-tree basis.
-
-    Basis letter j is the j-th non-tree edge; collapsing the tree sends the
-    loop of ``w`` to this word.  Requires ``contains(g, w)``.
-    """
-    out: list[int] = []
-    v = 0
-    for letter in w.letters:
-        t = g.step(v, letter)
-        if t is None:
-            raise ValueError("word does not lie in the subgroup")
-        edge = (v, t, letter) if letter > 0 else (t, v, -letter)
-        j = g._edge_basis.get(edge)
-        if j is not None:
-            out.append(j if letter > 0 else -j)
-        v = t
-    if v != 0:
-        raise ValueError("word does not lie in the subgroup")
-    return reduce(out)
-
-
-def _search_expression(
-    images: list[Word], target: Word, depth_cap: int | None
-) -> Word:
-    """Iterative-deepening search for a product of ``images`` equal to
-    ``target`` (all words over the basis alphabet).  Self-verifying: only a
-    genuine expression is ever returned."""
-    if not target:
-        return IDENTITY
-    moves = []
-    for j, img in enumerate(images, start=1):
-        if img:
-            moves.append((j, img))
-            moves.append((-j, invert(img)))
-    if not moves:
-        raise ExpressionSearchExhausted("all generators are trivial")
-    longest = max(len(img) for _, img in moves)
-    if depth_cap is None:
-        depth_cap = max(8, 2 * len(target) + 2)
-
-    def dfs(current: Word, last: int, remaining: int, path: list[int]):
-        if current == target:
-            return tuple(path)
-        if remaining == 0:
-            return None
-        if len(current) - remaining * longest > len(target):
-            return None
-        for j, img in moves:
-            if j == -last:
-                continue
-            path.append(j)
-            found = dfs(
-                reduce(current.letters + img.letters), j, remaining - 1, path
-            )
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    for depth in range(1, depth_cap + 1):
-        found = dfs(IDENTITY, 0, depth, [])
-        if found is not None:
-            return Word(found)
-    raise ExpressionSearchExhausted(
-        f"no expression of length <= {depth_cap} found"
-    )
-
-
-def express(g: SubgroupGraph, w: Word, depth_cap: int | None = None) -> Word | None:
+def express(g: SubgroupGraph, w: Word) -> Word | None:
     """Witness for membership: a word over new letters y_1..y_m (one per
     generating word, in input order) whose substitution-expansion reduces to
     ``w``.  None when ``w`` is not in the subgroup.
 
-    When the generating words read as single basis letters in the graph
-    (e.g. they form a basis), the rewrite is exact and linear; otherwise a
-    bounded search is used and the result is round-trip verified.
+    Reads the edge witnesses along the loop of ``w`` at the basepoint, in
+    time linear in ``|w|`` plus the witness letters read.
     """
-    if trace(g, w) != 0:
+    out: list[int] = []
+    v = 0
+    for letter in w.letters:
+        hit = g._steps.get((v, letter))
+        if hit is None:
+            return None
+        v, witness = hit
+        for y in witness:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    if v != 0:
         return None
-    target = express_in_basis(g, w)
-    images = [express_in_basis(g, gw) for gw in g.generating_words]
-
-    table: dict[int, tuple[int, int]] = {}
-    for j, img in enumerate(images, start=1):
-        if len(img) == 1:
-            l = img.letters[0]
-            table.setdefault(abs(l), (j, 1 if l > 0 else -1))
-
-    if all(abs(l) in table for l in target.letters):
-        out = []
-        for l in target.letters:
-            j, s = table[abs(l)]
-            out.append(j * s * (1 if l > 0 else -1))
-        result = reduce(out)
-    else:
-        result = _search_expression(images, target, depth_cap)
-
+    result = Word(tuple(out))
     assert substitute(result, g.generating_words) == w
     return result

@@ -12,18 +12,9 @@ same map up to the index bijection i -> i + 2^n - 1 at level n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .roots import centralizer_generator, kth_root
-from .stallings import build_graph, express
-from .words import (
-    IDENTITY,
-    IdentityWordError,
-    Word,
-    commutator,
-    invert,
-    multiply,
-)
+from .roots import centralizer_generator, is_prime, kth_root
+from .words import IDENTITY, IdentityWordError, Word, invert, multiply
 
 
 class LengthLimitError(ValueError):
@@ -73,23 +64,31 @@ def phi(n: int, w: Word, max_length: int | None = None) -> Word:
     return Word(tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _phi_image_graph(n: int):
-    gens = [commutator(generator(2 * i), generator(2 * i + 1)) for i in level_index_range(n)]
-    return build_graph(gens)
-
-
 def phi_preimage(n: int, u: Word) -> Word | None:
-    """The unique w with phi(n, w) = u, or None when u is outside the image."""
+    """The unique w with phi(n, w) = u, or None when u is outside the image.
+
+    phi(n, w) is the concatenation of the 4-letter blocks of w's letters,
+    and no block cancels against its neighbour, so u is an image exactly
+    when it splits into blocks (2i, 2i+1, -2i, -2i-1), read as x_i, and
+    (2i+1, 2i, -2i-1, -2i), read as x_i^-1.
+    """
     validate_level_word(n + 1, u)
-    witness = express(_phi_image_graph(n), u)
-    if witness is None:
+    letters = u.letters
+    if len(letters) % 4:
         return None
-    offset = 2**n - 1
-    relabeled = Word(
-        tuple((abs(l) + offset) * (1 if l > 0 else -1) for l in witness.letters)
-    )
-    return relabeled
+    out: list[int] = []
+    for k in range(0, len(letters), 4):
+        block = letters[k : k + 4]
+        i = block[0] // 2
+        if i <= 0:
+            return None
+        if block == (2 * i, 2 * i + 1, -2 * i, -2 * i - 1):
+            out.append(i)
+        elif block == (2 * i + 1, 2 * i, -2 * i - 1, -2 * i):
+            out.append(-i)
+        else:
+            return None
+    return Word(tuple(out))
 
 
 def root_transfer(n: int, w: Word, k: int) -> Word | None:
@@ -111,9 +110,9 @@ def root_transfer(n: int, w: Word, k: int) -> Word | None:
 class TowerElement:
     """Element of the colimit group as a (level, word) pair.
 
-    Canonical values (as produced by :func:`tower_element` or
-    :func:`normalize`) use the lowest level at which the element exists, so
-    dataclass equality coincides with equality in the colimit group.
+    Canonical values (as produced by :func:`normalize`) use the lowest level
+    at which the element exists, so dataclass equality coincides with
+    equality in the colimit group.
     """
 
     level: int
@@ -130,10 +129,6 @@ def normalize(level: int, w: Word) -> TowerElement:
         w = pre
         level -= 1
     return TowerElement(level, w)
-
-
-def tower_element(level: int, w: Word) -> TowerElement:
-    return normalize(level, w)
 
 
 def promote(e: TowerElement, target: int, max_length: int | None = None) -> TowerElement:
@@ -194,8 +189,8 @@ def has_p_root_in_H(
     max_length: int | None = None,
 ) -> RootCertificate:
     """Decide whether ``e`` has a p-th root in the colimit group."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if max_level < e.level:
         raise ValueError("max_level must be at least the element's level")
     if not cross_check:

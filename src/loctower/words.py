@@ -151,12 +151,16 @@ def validate_rank(w: Word, n: int) -> None:
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
-    """Replace letter ``+j`` by ``images[j-1]`` (1-indexed) and reduce."""
-    out: list[int] = []
-    for l in w.letters:
+    """Replace letter ``+j`` by ``images[j-1]`` (1-indexed) and reduce.
+
+    The expansion streams into the reduction, so memory is bounded by the
+    longest reduced prefix, not by the unreduced expansion.
+    """
+    pieces = {}
+    for l in set(w.letters):
         img = images[abs(l) - 1]
-        out.extend(img.letters if l > 0 else invert(img).letters)
-    return reduce(out)
+        pieces[l] = img.letters if l > 0 else invert(img).letters
+    return reduce(x for l in w.letters for x in pieces[l])
 
 
 def format_word(w: Word, symbol: str = "x") -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -245,3 +246,130 @@ def determinant(matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def oracle_build_graph(generators, fold_seed: int | None = None):
+    """(num_vertices, edges) of the folded core graph, by the fold loop that
+    rescans every vertex after each merge and a trimming loop that rescans
+    the whole graph after each removal.  ``fold_seed`` shuffles the fold
+    schedule; folding is confluent, so every schedule gives the same graph.
+    """
+    gens = tuple(generators)
+    if not gens:
+        raise ValueError("generator list must be non-empty")
+
+    # bouquet of loops; adjacency maps signed label -> set of targets
+    adj: list[dict[int, set[int]] | None] = [{}]
+
+    def connect(u: int, v: int, signed: int) -> None:
+        adj[u].setdefault(signed, set()).add(v)
+        adj[v].setdefault(-signed, set()).add(u)
+
+    for g in gens:
+        prev = 0
+        for idx, letter in enumerate(g.letters):
+            if idx == len(g.letters) - 1:
+                nxt = 0
+            else:
+                adj.append({})
+                nxt = len(adj) - 1
+            connect(prev, nxt, letter)
+            prev = nxt
+
+    parent = list(range(len(adj)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def merge(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        parent[b] = a
+        for signed, targets in adj[b].items():
+            adj[a].setdefault(signed, set()).update(targets)
+        adj[b] = None
+
+    rng = random.Random(fold_seed) if fold_seed is not None else None
+    dirty = True
+    while dirty:
+        dirty = False
+        vertices = [v for v in range(len(adj)) if find(v) == v]
+        if rng:
+            rng.shuffle(vertices)
+        for v in vertices:
+            if find(v) != v:
+                continue
+            signed_labels = list(adj[v].keys())
+            if rng:
+                rng.shuffle(signed_labels)
+            else:
+                signed_labels.sort(key=lambda s: (abs(s), s < 0))
+            for signed in signed_labels:
+                targets = sorted({find(t) for t in adj[v].get(signed, ())})
+                if len(targets) > 1:
+                    if rng:
+                        rng.shuffle(targets)
+                    merge(targets[0], targets[1])
+                    dirty = True
+                    break
+            if dirty:
+                break
+
+    # canonical single-target transition map on live vertices
+    steps: dict[tuple[int, int], int] = {}
+    live = set()
+    for v in range(len(adj)):
+        if find(v) != v:
+            continue
+        live.add(v)
+        for signed, targets in adj[v].items():
+            resolved = {find(t) for t in targets}
+            assert len(resolved) == 1, "graph is not folded"
+            steps[(v, signed)] = resolved.pop()
+
+    # trim to the core: drop non-basepoint vertices of degree <= 1
+    base = find(0)
+    degree = {v: 0 for v in live}
+    for (v, signed) in steps:
+        degree[v] += 1
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(live):
+            if v == base or degree[v] > 1:
+                continue
+            for (u, signed) in [key for key in steps if key[0] == v]:
+                t = steps.pop((u, signed))
+                if (t, -signed) in steps:
+                    steps.pop((t, -signed))
+                    degree[t] -= 1
+            live.discard(v)
+            changed = True
+            break
+
+    # deterministic renumbering by BFS from the basepoint
+    number = {base: 0}
+    order = [base]
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        labels = sorted(
+            (l for (u, l) in steps if u == v), key=lambda s: (abs(s), s < 0)
+        )
+        for l in labels:
+            t = steps[(v, l)]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+                queue.append(t)
+
+    edges = sorted(
+        (number[u], number[steps[(u, l)]], l)
+        for (u, l) in steps
+        if l > 0 and u in number
+    )
+    return len(order), tuple(edges)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loctower.adjunction import (
-    MILLER_RABIN_BOUND,
     AdjunctionGroup,
     AmalgamElement,
     PruferElement,
@@ -21,7 +20,6 @@ from loctower.adjunction import (
     amalgam_multiply,
     amalgam_normalize,
     extend_map,
-    is_prime,
     parse_prufer,
     prufer,
     prufer_add,
@@ -31,6 +29,7 @@ from loctower.adjunction import (
     prufer_zero,
     witness_nonperfect,
 )
+from loctower.roots import MILLER_RABIN_BOUND, is_prime
 from loctower.words import (
     IDENTITY,
     IdentityWordError,

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from loctower.cli import run
+from loctower.words import parse_word, power, substitute, word
 
 
 def invoke(capsys, *argv):
@@ -79,6 +80,13 @@ class TestSubgroup:
         assert data["member"] is True
         assert data["graph"] == ["0 1 1", "1 0 1"]
 
+    def test_folding_pair_witness(self, capsys):
+        code, out, _ = invoke(capsys, "subgroup", "x1^13", "x1^21", "--word", "x1")
+        assert code == 0
+        assert out.startswith("member=true\nwitness=")
+        witness = parse_word(out.splitlines()[1][len("witness="):].replace("y", "x"))
+        assert substitute(witness, [power(word(1), 13), power(word(1), 21)]) == word(1)
+
 
 class TestTower:
     def test_phi(self, capsys):
@@ -135,6 +143,13 @@ class TestTower:
         assert code == 0
         assert data["status"] == "NO_ROOT_PROVEN"
         assert data["checked_levels"] == [0, 1, 2, 3]
+
+    def test_root_composite_prime_rejected(self, capsys):
+        code, out, err = invoke(
+            capsys, "tower", "root", "x1^4", "--level", "0", "--prime", "4", "--max-level", "2"
+        )
+        assert code == 1
+        assert out == "" and "prime" in err
 
     def test_root_found(self, capsys):
         code, out, _ = invoke(
@@ -291,6 +306,23 @@ class TestWitness:
         assert code == 0
         assert time.perf_counter() - start < 1.0
         assert "quotient=Z/104060401" in out
+
+    def test_max_length_guard(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "--max-length", "100", "witness", "--level", "5", "--prime", "2", "--depth", "1"
+        )
+        assert code == 1 and out == ""
+        assert "4^5" in err and "limit 100" in err
+        code, _, err = invoke(
+            capsys, "--max-length", "100", "witness", "--level", "1000000000", "--prime", "2", "--depth", "1"
+        )
+        assert code == 1 and "limit 100" in err
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = invoke(
+            capsys, "--max-length", "100", "witness", "--level", "3", "--prime", "2", "--depth", "1"
+        )
+        assert code == 0 and "quotient=Z/2" in out
 
 
 class TestPrufer:

@@ -101,6 +101,25 @@ class TestPhiPreimage:
         assert phi_preimage(0, word(2, 3)) is None
         assert phi_preimage(1, word(4, 5, -4, -5, 6)) is None
 
+    def test_block_aligned_near_misses(self):
+        # four letters at a time, each block a wrong shape
+        for letters in [
+            (4, 5, -4, -7),
+            (4, 5, 4, -5),
+            (5, 4, -5, -5),
+            (4, 7, -4, -7),
+            (6, 5, -6, -5),
+            (-4, -5, 4, 5),
+            (-5, -4, 5, 4),
+            (4, 5, -4, -5, 4, 5, -4, -7),
+        ]:
+            assert phi_preimage(1, word(*letters)) is None, letters
+
+    def test_inverse_blocks(self):
+        assert phi_preimage(1, word(5, 4, -5, -4)) == word(-2)
+        assert phi_preimage(1, word(4, 5, -4, -5, 7, 6, -7, -6)) == word(2, -3)
+        assert phi_preimage(0, word(3, 2, -3, -2)) == word(-1)
+
 
 class TestNormalizePromote:
     def test_examples(self):
@@ -226,6 +245,14 @@ class TestRootCertificates:
             has_p_root_in_H(e, 1, 3)
         with pytest.raises(ValueError):
             has_p_root_in_H(e, 2, 0)
+
+    def test_composite_p_rejected(self):
+        e = TowerElement(0, word(1, 1, 1, 1))
+        for p in (0, 4, 6, 9, 561):
+            with pytest.raises(ValueError, match="prime"):
+                has_p_root_in_H(e, p, 2)
+            with pytest.raises(ValueError, match="prime"):
+                has_p_root_in_H(e, p, 2, cross_check=True)
 
 
 class TestCentralizerCompat:
