@@ -19,7 +19,7 @@ from .tower import TowerElement, promote
 from .words import (
     IdentityWordError,
     Word,
-    cyclic_reduce,
+    _conjugator_length,
     format_word,
     invert,
     multiply,
@@ -227,14 +227,21 @@ class AmalgamElement:
 
 
 def _power_of(x: Word, a: Word) -> int | None:
-    """Exponent e with x^e = a, or None.  Assumes x primitive."""
+    """Exponent e with x^e = a, or None.  Assumes x primitive.
+
+    With x = c u c^-1 and u cyclically reduced, x^e has exactly
+    2|c| + |e||u| letters, so the length of a leaves one candidate |e|.
+    """
     if not a:
         return 0
-    dec = primitive_root(a)
-    if dec.root == x:
-        return dec.exponent
-    if dec.root == invert(x):
-        return -dec.exponent
+    c = _conjugator_length(x.letters)
+    e, rest = divmod(len(a) - 2 * c, len(x) - 2 * c)
+    if rest or e <= 0:
+        return None
+    if power(x, e) == a:
+        return e
+    if power(x, -e) == a:
+        return -e
     return None
 
 
@@ -255,13 +262,14 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     read off one product w x^(+-K) with K|u| > |w|, which cancels all C
     letters.  The cost is O(|w| + |x|).
     """
-    conj, core = cyclic_reduce(x)
-    reach = len(w) // len(core) + 2
+    c = _conjugator_length(x.letters)
+    u = len(x) - 2 * c
+    reach = len(w) // u + 2
     candidates = {0}
     for s in (1, -1):
         far = power(x, s * reach)
         cancelled = (len(w) + len(far) - len(multiply(w, far))) // 2
-        k0 = max(0, (cancelled - len(conj)) // len(core))
+        k0 = max(0, (cancelled - c) // u)
         candidates.update((s * k0, s * (k0 + 1)))
     reps = {k: multiply(w, power(x, k)) for k in candidates}
     best = min(candidates, key=lambda k: (len(reps[k]), reps[k].letters))
@@ -444,10 +452,10 @@ class NonPerfectReport:
 
 
 def _relabel_to_base(w: Word, level: int) -> Word:
+    """Shift the level-n indices 2^n..2^(n+1)-1 down to 1..2^n."""
     offset = 2**level - 1
-    return Word(
-        tuple((abs(l) - offset) * (1 if l > 0 else -1) for l in w.letters)
-    )
+    shift = {l: l - offset if l > 0 else l + offset for l in set(w.letters)}
+    return Word(tuple(map(shift.__getitem__, w.letters)))
 
 
 def witness_nonperfect(n: int, p: int, d: int) -> NonPerfectReport:

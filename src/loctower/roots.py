@@ -8,14 +8,13 @@ primality test for the p in p-th roots lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .words import (
     IdentityWordError,
     Word,
-    cyclic_reduce,
-    invert,
+    _conjugator_length,
     multiply,
-    power,
 )
 
 
@@ -28,39 +27,70 @@ class RootDecomposition:
     exponent: int
 
 
+def _prime_divisors(n: int):
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        yield n
+
+
+def _root_split(letters: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+    """(i, core, d) for nonempty reduced ``letters = c u c^-1``, |c| = i,
+    core u: d is the least period of u that divides n = |u|.
+
+    The periods of u that divide n are exactly the multiples of d that
+    divide n: two such periods p, p' satisfy p + p' - gcd(p, p') <= n, so
+    gcd(p, p') is a period too (Fine and Wilf, Proc. AMS 16, 1965).  Hence
+    starting from p = n and dividing p by each prime q of n for as long as
+    p / q is still a period leaves exactly d, after O(sqrt n) trial
+    divisions and O(log n) slice comparisons.
+    """
+    i = _conjugator_length(letters)
+    core = letters[i : len(letters) - i]
+    n = p = len(core)
+    for q in _prime_divisors(n):
+        while p % q == 0 and core[p // q :] == core[: n - p // q]:
+            p //= q
+    return i, core, p
+
+
 def primitive_root(w: Word) -> RootDecomposition:
     """Unique primitive v and maximal k >= 1 with w = v^k.
 
-    Cyclically reduces ``w = r u r^-1``, finds the smallest period of the
-    core ``u`` by scanning divisors of its length, and conjugates back.
+    With ``w = c u c^-1`` and u cyclically reduced, v is ``c u[:d] c^-1``
+    for the least period d of u that divides |u|, and k = |u| / d.
     """
     if not w:
         raise IdentityWordError("identity word has no primitive root")
-    conj, core = cyclic_reduce(w)
-    n = len(core)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if core.letters[:d] * (n // d) == core.letters:
-            seed = Word(core.letters[:d])
-            root = multiply(multiply(conj, seed), invert(conj))
-            return RootDecomposition(root, n // d)
-    raise AssertionError("unreachable: d == n always matches")
+    letters = w.letters
+    i, core, d = _root_split(letters)
+    root = Word(letters[:i] + core[:d] + letters[len(letters) - i :])
+    return RootDecomposition(root, len(core) // d)
 
 
 def kth_root(w: Word, k: int) -> Word | None:
-    """The unique v with v^k = w, or None when no such v exists."""
+    """The unique v with v^k = w, or None when no such v exists.
+
+    v^-k = w exactly when v^k = w^-1, so a negative k inverts w first.
+    """
     if k == 0:
         raise ValueError("k must be nonzero")
     if not w:
         return Word()
+    letters = w.letters
     if k < 0:
-        v = kth_root(w, -k)
-        return invert(v) if v is not None else None
-    dec = primitive_root(w)
-    if dec.exponent % k:
+        letters, k = tuple(map(neg, reversed(letters))), -k
+    i, core, d = _root_split(letters)
+    exponent = len(core) // d
+    if exponent % k:
         return None
-    return power(dec.root, dec.exponent // k)
+    return Word(letters[:i] + core[:d] * (exponent // k) + letters[len(letters) - i :])
 
 
 def centralizer_generator(w: Word) -> Word:

@@ -12,6 +12,7 @@ same map up to the index bijection i -> i + 2^n - 1 at level n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .roots import centralizer_generator, is_prime, kth_root
 from .words import IDENTITY, IdentityWordError, Word, invert, multiply
@@ -30,16 +31,60 @@ def level_index_range(n: int) -> range:
 
 def validate_level_word(n: int, w: Word) -> None:
     indices = level_index_range(n)
-    for letter in w.letters:
-        if abs(letter) not in indices:
-            raise ValueError(
-                f"generator x{abs(letter)} is not valid at level {n} "
-                f"(expected indices {indices.start}..{indices.stop - 1})"
-            )
+    letters = w.letters
+    if not letters or (
+        indices.start <= min(map(abs, letters)) and max(map(abs, letters)) < indices.stop
+    ):
+        return
+    bad = next(abs(l) for l in letters if abs(l) not in indices)
+    raise ValueError(
+        f"generator x{bad} is not valid at level {n} "
+        f"(expected indices {indices.start}..{indices.stop - 1})"
+    )
 
 
 def generator(i: int) -> Word:
     return Word((i,))
+
+
+def _expand(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of phi: x_i -> (2i, 2i+1, -2i, -2i-1), x_i^-1 -> (2i+1, 2i,
+    -2i-1, -2i), through one table entry per distinct letter."""
+    table = {}
+    for l in set(letters):
+        i = abs(l)
+        block = (2 * i, 2 * i + 1, -2 * i, -2 * i - 1)
+        table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
+    return tuple(chain.from_iterable(map(table.__getitem__, letters)))
+
+
+def _phi_letters(letters: tuple[int, ...], max_length: int | None) -> tuple[int, ...]:
+    if max_length is not None and 4 * len(letters) > max_length:
+        raise LengthLimitError(
+            f"phi image would have {4 * len(letters)} letters (limit {max_length})"
+        )
+    return _expand(letters)
+
+
+def _preimage_letters(letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The letters whose :func:`_expand` is ``letters``, or None.
+
+    The head a of each 4-letter block names the only candidate letter: a
+    even means x_(a/2), a odd means x_((a-1)/2)^-1, and a < 2 means none.
+    Re-expanding the candidates and comparing settles the rest.  A match
+    is freely reduced whenever ``letters`` is, because x_i x_i^-1 expands
+    to blocks that cancel at their join.
+    """
+    if len(letters) % 4:
+        return None
+    heads = letters[0::4]
+    decode = {}
+    for a in set(heads):
+        if a < 2:
+            return None
+        decode[a] = a >> 1 if a % 2 == 0 else -(a >> 1)
+    pre = tuple(map(decode.__getitem__, heads))
+    return pre if _expand(pre) == letters else None
 
 
 def phi(n: int, w: Word, max_length: int | None = None) -> Word:
@@ -49,19 +94,7 @@ def phi(n: int, w: Word, max_length: int | None = None) -> Word:
     their boundaries), so the length is exactly 4*len(w).
     """
     validate_level_word(n, w)
-    if max_length is not None and 4 * len(w) > max_length:
-        raise LengthLimitError(
-            f"phi image would have {4 * len(w)} letters (limit {max_length})"
-        )
-    out: list[int] = []
-    for letter in w.letters:
-        i = abs(letter)
-        block = (2 * i, 2 * i + 1, -2 * i, -(2 * i + 1))
-        if letter > 0:
-            out.extend(block)
-        else:
-            out.extend(-l for l in reversed(block))
-    return Word(tuple(out))
+    return Word(_phi_letters(w.letters, max_length))
 
 
 def phi_preimage(n: int, u: Word) -> Word | None:
@@ -73,22 +106,8 @@ def phi_preimage(n: int, u: Word) -> Word | None:
     (2i+1, 2i, -2i-1, -2i), read as x_i^-1.
     """
     validate_level_word(n + 1, u)
-    letters = u.letters
-    if len(letters) % 4:
-        return None
-    out: list[int] = []
-    for k in range(0, len(letters), 4):
-        block = letters[k : k + 4]
-        i = block[0] // 2
-        if i <= 0:
-            return None
-        if block == (2 * i, 2 * i + 1, -2 * i, -2 * i - 1):
-            out.append(i)
-        elif block == (2 * i + 1, 2 * i, -2 * i - 1, -2 * i):
-            out.append(-i)
-        else:
-            return None
-    return Word(tuple(out))
+    pre = _preimage_letters(u.letters)
+    return None if pre is None else Word(pre)
 
 
 def root_transfer(n: int, w: Word, k: int) -> Word | None:
@@ -120,15 +139,20 @@ class TowerElement:
 
 
 def normalize(level: int, w: Word) -> TowerElement:
-    """Minimal-level representative: strip phi-preimages until none exists."""
+    """Minimal-level representative: strip phi-preimages until none exists.
+
+    The preimage of a level-n word lies at level n - 1, so only the input
+    is checked, and only the final letters become a Word.
+    """
     validate_level_word(level, w)
+    letters = w.letters
     while level > 0:
-        pre = phi_preimage(level - 1, w)
+        pre = _preimage_letters(letters)
         if pre is None:
             break
-        w = pre
+        letters = pre
         level -= 1
-    return TowerElement(level, w)
+    return TowerElement(level, w if letters is w.letters else Word(letters))
 
 
 def promote(e: TowerElement, target: int, max_length: int | None = None) -> TowerElement:
@@ -138,10 +162,13 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     """
     if target < e.level:
         raise ValueError(f"target level {target} is below current level {e.level}")
-    w = e.word
-    for n in range(e.level, target):
-        w = phi(n, w, max_length=max_length)
-    return TowerElement(target, w)
+    if target == e.level:
+        return TowerElement(target, e.word)
+    validate_level_word(e.level, e.word)
+    letters = e.word.letters
+    for _ in range(e.level, target):
+        letters = _phi_letters(letters, max_length)
+    return TowerElement(target, Word(letters))
 
 
 def h_identity() -> TowerElement:

@@ -9,6 +9,8 @@ returns a fresh value, so they can be shared freely between tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, neg
 from typing import Iterable, Sequence
 
 
@@ -80,38 +82,52 @@ def reduce(raw: Iterable[int]) -> Word:
 
 
 def multiply(a: Word, b: Word) -> Word:
-    """Reduced concatenation; associative with identity ``IDENTITY``."""
-    stack = list(a.letters)
-    for l in b.letters:
-        if stack and stack[-1] == -l:
-            stack.pop()
-        else:
-            stack.append(l)
-    return Word(tuple(stack))
+    """Reduced concatenation; associative with identity ``IDENTITY``.
+
+    Both factors are reduced, so letters cancel only at the join.
+    """
+    x, y = a.letters, b.letters
+    n, m = len(x), min(len(x), len(y))
+    k = 0
+    while k < m and x[n - 1 - k] == -y[k]:
+        k += 1
+    return Word(x[: n - k] + y[k:])
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(-l for l in reversed(w.letters)))
+    return Word(tuple(map(neg, reversed(w.letters))))
 
 
 def power(w: Word, k: int) -> Word:
     """``w**k`` fully reduced; ``power(w, 0)`` is the identity.
+
+    With ``w = c u c^-1`` and ``u`` cyclically reduced, ``w**k`` is
+    ``c u^k c^-1`` letter for letter.
 
     >>> str(power(word(1, 2, -1), 3))
     'x1*x2^3*x1^-1'
     """
     if k == 0 or not w:
         return IDENTITY
+    letters = w.letters
     if k < 0:
-        return invert(power(w, -k))
-    conj, core = cyclic_reduce(w)
-    letters = conj.letters + core.letters * k + invert(conj).letters
-    return Word(letters)
+        letters, k = tuple(map(neg, reversed(letters))), -k
+    i, n = _conjugator_length(letters), len(letters)
+    return Word(letters[:i] + letters[i : n - i] * k + letters[n - i :])
 
 
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a b a^-1 b^-1, reduced."""
     return multiply(multiply(a, b), multiply(invert(a), invert(b)))
+
+
+def _conjugator_length(letters: tuple[int, ...]) -> int:
+    """Length of the maximal c with ``letters = c u c^-1`` (reduced input)."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return i
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -121,11 +137,8 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     the identity.
     """
     letters = w.letters
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    return Word(letters[:i]), Word(letters[i : j + 1])
+    i = _conjugator_length(letters)
+    return Word(letters[:i]), Word(letters[i : len(letters) - i])
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -134,12 +147,12 @@ def is_cyclically_reduced(w: Word) -> bool:
 
 def support(w: Word) -> frozenset[int]:
     """Set of generator indices occurring in the reduced word."""
-    return frozenset(abs(l) for l in w.letters)
+    return frozenset(map(abs, w.letters))
 
 
 def max_index(w: Word) -> int:
     """Largest generator index used; 0 for the identity."""
-    return max((abs(l) for l in w.letters), default=0)
+    return max(map(abs, w.letters), default=0)
 
 
 def validate_rank(w: Word, n: int) -> None:
@@ -164,21 +177,29 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
 
 
 def format_word(w: Word, symbol: str = "x") -> str:
-    """Render a word in the text syntax, e.g. ``x1*x2^-1``; identity is ``1``."""
-    if not w:
+    """Render a word in the text syntax, e.g. ``x1*x2^-1``; identity is ``1``.
+
+    Each letter is named through a table; only the runs of a repeated
+    letter (found where a letter equals its successor) are rewritten as one
+    power.
+    """
+    letters = w.letters
+    if not letters:
         return "1"
-    parts = []
-    current, run = w.letters[0], 0
-    for l in w.letters + (0,):  # 0 is never a letter: it closes the last run
-        if l == current:
-            run += 1
-            continue
-        if current > 0:
-            parts.append(f"{symbol}{current}^{run}" if run != 1 else f"{symbol}{current}")
-        else:
-            parts.append(f"{symbol}{-current}^{-run}")
-        current, run = l, 1
-    return "*".join(parts)
+    names = {l: f"{symbol}{l}" if l > 0 else f"{symbol}{-l}^-1" for l in set(letters)}
+    parts: list[str | None] = list(map(names.__getitem__, letters))
+    runs: dict[int, int] = {}  # first index of a run -> its length
+    start = last = -2
+    for i in compress(range(len(letters) - 1), map(eq, letters, letters[1:])):
+        if i != last + 1:  # a repeat not next to the previous one opens a run
+            start = i
+        runs[start] = i + 2 - start
+        parts[i + 1] = None
+        last = i
+    for start, run in runs.items():
+        l = letters[start]
+        parts[start] = f"{symbol}{l}^{run}" if l > 0 else f"{symbol}{-l}^{-run}"
+    return "*".join(filter(None, parts))
 
 
 class _WordParser:

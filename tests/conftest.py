@@ -7,7 +7,9 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from loctower.words import Word, cyclic_reduce, multiply, power, reduce
+from loctower.roots import primitive_root
+from loctower.tower import validate_level_word
+from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
 
 
 def letter_strategy(rank: int = 3):
@@ -119,6 +121,71 @@ def oracle_primitive_root(letters) -> tuple[tuple, int]:
                 acc = concat_reduce(acc, cand)
                 k += 1
     return best
+
+
+def oracle_power(w: Word, k: int) -> Word:
+    """``w**k`` from the cyclic reduction, inverting the whole result for
+    k < 0 (the library's earlier four-Word version)."""
+    if k == 0 or not w:
+        return IDENTITY
+    if k < 0:
+        return invert(oracle_power(w, -k))
+    conj, core = cyclic_reduce(w)
+    letters = conj.letters + core.letters * k + invert(conj).letters
+    return Word(letters)
+
+
+def oracle_format_word(w: Word, symbol: str = "x") -> str:
+    """Text syntax by one loop over every letter with a run counter."""
+    if not w:
+        return "1"
+    parts = []
+    current, run = w.letters[0], 0
+    for l in w.letters + (0,):  # 0 is never a letter: it closes the last run
+        if l == current:
+            run += 1
+            continue
+        if current > 0:
+            parts.append(f"{symbol}{current}^{run}" if run != 1 else f"{symbol}{current}")
+        else:
+            parts.append(f"{symbol}{-current}^{-run}")
+        current, run = l, 1
+    return "*".join(parts)
+
+
+def oracle_phi_preimage(n: int, u: Word) -> Word | None:
+    """phi-preimage by comparing every 4-letter block with the two block
+    shapes its head allows."""
+    validate_level_word(n + 1, u)
+    letters = u.letters
+    if len(letters) % 4:
+        return None
+    out: list[int] = []
+    for k in range(0, len(letters), 4):
+        block = letters[k : k + 4]
+        i = block[0] // 2
+        if i <= 0:
+            return None
+        if block == (2 * i, 2 * i + 1, -2 * i, -2 * i - 1):
+            out.append(i)
+        elif block == (2 * i + 1, 2 * i, -2 * i - 1, -2 * i):
+            out.append(-i)
+        else:
+            return None
+    return Word(tuple(out))
+
+
+def oracle_power_of(x: Word, a: Word) -> int | None:
+    """Exponent e with x^e = a, or None, from the primitive root of a.
+    Assumes x primitive."""
+    if not a:
+        return 0
+    dec = primitive_root(a)
+    if dec.root == x:
+        return dec.exponent
+    if dec.root == invert(x):
+        return -dec.exponent
+    return None
 
 
 def oracle_coset_rep(x: Word, w: Word) -> tuple[Word, int]:

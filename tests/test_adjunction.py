@@ -14,6 +14,7 @@ from loctower.adjunction import (
     PruferElement,
     TPower,
     _coset_rep,
+    _power_of,
     adjoin_root,
     amalgam_identity,
     amalgam_invert,
@@ -29,7 +30,7 @@ from loctower.adjunction import (
     prufer_zero,
     witness_nonperfect,
 )
-from loctower.roots import MILLER_RABIN_BOUND, is_prime
+from loctower.roots import MILLER_RABIN_BOUND, is_prime, primitive_root
 from loctower.words import (
     IDENTITY,
     IdentityWordError,
@@ -42,8 +43,10 @@ from loctower.words import (
 )
 
 from conftest import (
+    letter_strategy,
     nonempty_words_strategy,
     oracle_coset_rep,
+    oracle_power_of,
     random_word,
     words_strategy,
 )
@@ -86,6 +89,34 @@ class TestCosetRep:
         x = multiply(multiply(conj, core), invert(conj))
         w = multiply(head, power(x, k))
         assert _coset_rep(x, w) == oracle_coset_rep(x, w)
+
+
+class TestPowerOf:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nonempty_words_strategy(rank=3, max_len=5),
+        words_strategy(rank=3, max_len=4),
+        st.integers(-6, 6),
+        st.data(),
+    )
+    def test_matches_root_oracle(self, core, conj, e, data):
+        x = primitive_root(multiply(multiply(conj, core), invert(conj))).root
+        a = power(x, e)
+        assert _power_of(x, a) == oracle_power_of(x, a) == e
+        # non-powers of exactly the length of a power of x
+        same_length = data.draw(st.lists(letter_strategy(3), min_size=len(a), max_size=len(a)))
+        for b in (reduce(same_length), multiply(a, data.draw(words_strategy(rank=3, max_len=6)))):
+            assert _power_of(x, b) == oracle_power_of(x, b), (x, b)
+
+    def test_same_length_non_powers(self):
+        x = word(3, 1, 2, -3)  # conjugated, |c| = 1, |u| = 2
+        assert _power_of(x, word(3, 1, 2, 1, 2, -3)) == 2
+        assert _power_of(x, word(3, -2, -1, -2, -1, -3)) == -2
+        for a in (word(3, 1, 2, 2, 1, -3), word(3, 2, 1, 2, 1, -3), word(2, 1, 2, 1, 2, 1)):
+            assert _power_of(x, a) is None
+        assert _power_of(x, word(3, 1, 2, 1, -3)) is None  # remainder
+        assert _power_of(x, word(1, 2)) is None  # e = 0
+        assert _power_of(x, word(1)) is None  # shorter than the conjugator
 
 
 class TestPrufer:

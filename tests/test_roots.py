@@ -42,6 +42,19 @@ class TestPrimitiveRoot:
         with pytest.raises(IdentityWordError):
             primitive_root(IDENTITY)
 
+    @pytest.mark.parametrize("k", [12, 30, 64, 97, 3072])
+    @pytest.mark.parametrize("conj", [IDENTITY, word(3, -2), word(2, 2)])
+    def test_known_powers(self, k, conj):
+        # the core of v opens with (x1 x2)^2, a near-period that a period
+        # test comparing too few letters would accept
+        core = word(1, 2, 1, 2, 1, -3)
+        v = multiply(multiply(conj, core), invert(conj))
+        assert len(v) == len(core) + 2 * len(conj)
+        dec = primitive_root(power(v, k))
+        assert (dec.root, dec.exponent) == (v, k)
+        dec = primitive_root(power(v, -k))
+        assert (dec.root, dec.exponent) == (invert(v), k)
+
     @given(nonempty_words_strategy(rank=2, max_len=8))
     def test_matches_oracle(self, w):
         dec = primitive_root(w)

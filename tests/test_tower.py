@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loctower.roots import kth_root, primitive_root
 from loctower.tower import (
     NO_ROOT_PROVEN,
     ROOT_FOUND,
@@ -31,15 +32,25 @@ from loctower.words import (
     invert,
     multiply,
     power,
+    reduce,
     support,
     word,
 )
 
-from conftest import random_nonempty_word, random_word
+from conftest import oracle_phi_preimage, random_nonempty_word, random_word
 
 
 def random_level_word(rng, level, max_len):
     return random_word(rng, max_len, level_index_range(level))
+
+
+def level_letters(level):
+    indices = level_index_range(level)
+    return st.integers(indices.start, indices.stop - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+
+
+def level_words(level, max_len):
+    return st.lists(level_letters(level), max_size=max_len).map(reduce)
 
 
 class TestPhi:
@@ -114,6 +125,24 @@ class TestPhiPreimage:
             (4, 5, -4, -5, 4, 5, -4, -7),
         ]:
             assert phi_preimage(1, word(*letters)) is None, letters
+
+    def test_heads_that_cancel(self):
+        # the heads 2, 3 read as x1 x1^-1; the blocks do not match, so this
+        # is a plain non-image, not an unreduced preimage
+        assert phi_preimage(0, word(2, 3, -2, 3, 3, 2, 3, 2)) is None
+        assert phi_preimage(1, word(4, 5, -4, -5, 5, 4, -5, 4)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_matches_oracle(self, level, data):
+        image = list(phi(level, data.draw(level_words(level, 10))).letters)
+        near_miss = image[:]
+        if image:
+            # one letter replaced; reduce() cancels what the swap unreduces
+            i = data.draw(st.integers(0, len(image) - 1))
+            near_miss[i] = data.draw(level_letters(level + 1))
+        for u in (Word(image), reduce(near_miss), data.draw(level_words(level + 1, 12))):
+            assert phi_preimage(level, u) == oracle_phi_preimage(level, u), (level, u)
 
     def test_inverse_blocks(self):
         assert phi_preimage(1, word(5, 4, -5, -4)) == word(-2)
@@ -224,6 +253,14 @@ class TestRootCertificates:
             assert theorem.status == NO_ROOT_PROVEN
             assert exhaustive.status == NO_ROOT_PROVEN
             assert exhaustive.checked_levels == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_distinguished_word_rootless_at_levels_5_to_7(self, p):
+        for n in range(5, 8):
+            w = promote(TowerElement(0, word(1)), n).word
+            assert len(w) == 4**n
+            assert kth_root(w, p) is None, (p, n)
+            assert primitive_root(w).exponent == 1
 
     def test_modes_agree_random(self):
         rng = random.Random(18)

@@ -26,6 +26,8 @@ from conftest import (
     letter_strategy,
     naive_reduce,
     oracle_cyclic_reduce,
+    oracle_format_word,
+    oracle_power,
     words_strategy,
 )
 
@@ -110,6 +112,11 @@ class TestPower:
         _, core = cyclic_reduce(w)
         assert len(power(w, k)) == k * len(core) + (len(w) - len(core))
 
+    @given(words_strategy(max_len=6), words_strategy(max_len=6), st.integers(-7, 7))
+    def test_matches_oracle(self, conj, core, k):
+        w = multiply(multiply(conj, core), invert(conj))
+        assert power(w, k) == oracle_power(w, k)
+
     @given(words_strategy(max_len=8), st.integers(1, 5))
     def test_support_preserved(self, w, k):
         assert support(power(w, k)) == support(w)
@@ -164,6 +171,14 @@ class TestTextSyntax:
         assert format_word(IDENTITY) == "1"
         assert format_word(word(3, 3, 3)) == "x3^3"
         assert format_word(word(2, 1), symbol="y") == "y2*y1"
+
+    @given(
+        st.lists(st.tuples(letter_strategy(rank=3), st.integers(1, 12)), max_size=10),
+        st.sampled_from(["x", "y"]),
+    )
+    def test_format_matches_oracle(self, runs, symbol):
+        w = reduce(l for l, n in runs for _ in range(n))
+        assert format_word(w, symbol=symbol) == oracle_format_word(w, symbol=symbol)
 
     @given(words_strategy(rank=12, max_len=20))
     def test_round_trip(self, w):
