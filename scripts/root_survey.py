@@ -9,25 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field
 
 from loctower.tower import TowerElement, has_p_root_in_H
 from loctower.words import format_word, word
 
 
-@dataclass
-class SurveyConfig:
-    primes: list[int] = field(default_factory=lambda: [2, 3, 5])
-    max_level: int = 4
-    as_json: bool = False
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5], metavar="P")
+    parser.add_argument("--max-level", type=int, default=4, metavar="N")
+    parser.add_argument("--json", action="store_true")
+    args = parser.parse_args()
 
-
-def run_survey(config: SurveyConfig) -> list[dict]:
     element = TowerElement(0, word(1))
     rows = []
-    for p in config.primes:
-        theorem = has_p_root_in_H(element, p, config.max_level)
-        exhaustive = has_p_root_in_H(element, p, config.max_level, cross_check=True)
+    for p in args.primes:
+        theorem = has_p_root_in_H(element, p, args.max_level)
+        exhaustive = has_p_root_in_H(element, p, args.max_level, cross_check=True)
         assert theorem.status == exhaustive.status
         rows.append(
             {
@@ -38,19 +36,7 @@ def run_survey(config: SurveyConfig) -> list[dict]:
                 "cross_check_levels": list(exhaustive.checked_levels),
             }
         )
-    return rows
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5], metavar="P")
-    parser.add_argument("--max-level", type=int, default=4, metavar="N")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args()
-
-    config = SurveyConfig(primes=args.primes, max_level=args.max_level, as_json=args.json)
-    rows = run_survey(config)
-    if config.as_json:
+    if args.json:
         print(json.dumps(rows, indent=2))
         return
     for row in rows:

@@ -10,26 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field
 
 from loctower.adjunction import witness_nonperfect
-
-
-@dataclass
-class SweepConfig:
-    level: int = 2
-    primes: list[int] = field(default_factory=lambda: [2, 3, 5])
-    max_depth: int = 3
-    as_json: bool = False
-
-
-def run_sweep(config: SweepConfig) -> list[dict]:
-    rows = []
-    for p in config.primes:
-        for d in range(1, config.max_depth + 1):
-            report = witness_nonperfect(config.level, p, d)
-            rows.append(report.to_dict())
-    return rows
 
 
 def main() -> None:
@@ -42,19 +24,16 @@ def main() -> None:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    config = SweepConfig(
-        level=args.level,
-        primes=args.primes,
-        max_depth=args.max_depth,
-        as_json=args.json,
-    )
-    rows = run_sweep(config)
-    if config.as_json:
+    rows = [
+        witness_nonperfect(args.level, p, d).to_dict()
+        for p in args.primes
+        for d in range(1, args.max_depth + 1)
+    ]
+    if args.json:
         print(json.dumps(rows, indent=2))
         return
-    header = f"{'prime':>5} {'depth':>5} {'quotient':>10} {'t_image':>8} {'rootless':>8}"
-    print(f"level {config.level} (base rank {rows[0]['base_rank']})")
-    print(header)
+    print(f"level {args.level} (base rank {rows[0]['base_rank']})")
+    print(f"{'prime':>5} {'depth':>5} {'quotient':>10} {'t_image':>8} {'rootless':>8}")
     for row in rows:
         print(
             f"{row['prime']:>5} {row['depth']:>5} {row['quotient']:>10} "

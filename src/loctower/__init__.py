@@ -13,12 +13,9 @@ from .adjunction import (
     amalgam_invert,
     amalgam_multiply,
     amalgam_normalize,
-    extend_map,
     prufer,
     prufer_add,
-    prufer_neg,
     prufer_quotient_map,
-    prufer_scale,
     prufer_zero,
     witness_nonperfect,
 )

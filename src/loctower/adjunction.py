@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .roots import is_prime, kth_root, primitive_root
 from .tower import TowerElement, promote
@@ -92,14 +92,6 @@ def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:
     k = max(a.exponent, b.exponent)
     num = a.numerator * p ** (k - a.exponent) + b.numerator * p ** (k - b.exponent)
     return prufer(p, num, k)
-
-
-def prufer_neg(a: PruferElement) -> PruferElement:
-    return prufer(a.prime, -a.numerator, a.exponent)
-
-
-def prufer_scale(a: PruferElement, n: int) -> PruferElement:
-    return prufer(a.prime, a.numerator * n, a.exponent)
 
 
 def parse_prufer(p: int, text: str) -> PruferElement:
@@ -345,60 +337,8 @@ def prufer_quotient_map(g: AdjunctionGroup, e: AmalgamElement) -> PruferElement:
     """
     if e.group != g:
         raise ValueError("element does not belong to the given group")
-    value = prufer_zero(g.prime)
-    for s in e.syllables:
-        if isinstance(s, TPower):
-            value = prufer_add(value, prufer(g.prime, s.exponent, g.depth))
-    return value
-
-
-@dataclass(frozen=True)
-class ExtendedMap:
-    """Generator images of a homomorphism to the Prüfer group, extended over
-    one root-adjunction stage."""
-
-    group: AdjunctionGroup
-    base_images: tuple[PruferElement, ...]
-    t_image: PruferElement
-
-    def evaluate_base(self, w: Word) -> PruferElement:
-        value = prufer_zero(self.group.prime)
-        for letter in w.letters:
-            img = self.base_images[abs(letter) - 1]
-            value = prufer_add(value, img if letter > 0 else prufer_neg(img))
-        return value
-
-
-def extend_map(
-    g: AdjunctionGroup,
-    prior_images: Mapping[int, PruferElement],
-    relators: Sequence[Word] = (),
-) -> ExtendedMap:
-    """Extend a base homomorphism over the adjunction stage.
-
-    The image of x generates a cyclic subgroup of order p^k; t is assigned
-    the canonical value of order p^(k+depth) whose p^depth-th multiple is
-    the image of x.
-    """
-    images = []
-    for i in range(1, g.base_rank + 1):
-        img = prior_images.get(i, prufer_zero(g.prime))
-        if img.prime != g.prime:
-            raise ValueError("mismatched primes in prior images")
-        images.append(img)
-    partial = ExtendedMap(g, tuple(images), prufer_zero(g.prime))
-    for r in relators:
-        if not partial.evaluate_base(r).is_zero():
-            raise ValueError(
-                f"prior images are inconsistent: relator {format_word(r)} "
-                "has nonzero image"
-            )
-    x_image = partial.evaluate_base(g.root_of)
-    k = x_image.exponent
-    numerator = x_image.numerator if not x_image.is_zero() else 1
-    t_image = prufer(g.prime, numerator, k + g.depth)
-    assert prufer_scale(t_image, g.relation_exponent) == x_image
-    return ExtendedMap(g, tuple(images), t_image)
+    t_total = sum(s.exponent for s in e.syllables if isinstance(s, TPower))
+    return prufer(g.prime, t_total, g.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +375,6 @@ class NonPerfectReport:
             "t_order": self.t_image.order,
             "quotient": f"Z/{self.quotient_order}",
         }
-
-    def render_text(self) -> str:
-        q = self.quotient_order
-        lines = [
-            f"level={self.level} prime={self.prime} depth={self.depth} "
-            f"base-rank={self.base_rank}",
-            f"distinguished={format_word(self.distinguished)}",
-            f"rootless={'true' if self.rootless else 'false'} "
-            f"(no {self.prime}-root in the level-{self.level} free group)",
-            f"relator {self.relator_name} -> {self.relator_image}",
-            f"t -> {self.t_image} (order {self.t_image.order})",
-            f"quotient=Z/{q} surjection onto the {q}-torsion verified",
-        ]
-        return "\n".join(lines)
 
 
 def _relabel_to_base(w: Word, level: int) -> Word:

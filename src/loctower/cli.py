@@ -21,7 +21,8 @@ class DomainError(ValueError):
     pass
 
 
-def _check_length(w: words.Word, limit: int) -> words.Word:
+def _read_word(text: str, limit: int) -> words.Word:
+    w = parse_word(text)
     if len(w) > limit:
         raise tower.LengthLimitError(
             f"word has {len(w)} letters (limit {limit}; raise with --max-length)"
@@ -30,24 +31,24 @@ def _check_length(w: words.Word, limit: int) -> words.Word:
 
 
 def _cmd_reduce(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     return {"word": format_word(w), "length": len(w)}
 
 
 def _cmd_root(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     dec = roots.primitive_root(w)
     return {"root": format_word(dec.root), "exponent": dec.exponent}
 
 
 def _cmd_centralizer(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     return {"generator": format_word(roots.centralizer_generator(w))}
 
 
 def _cmd_subgroup(args) -> dict:
-    gens = [parse_word(g) for g in args.generators]
-    query = _check_length(parse_word(args.word), args.max_length)
+    gens = [_read_word(g, args.max_length) for g in args.generators]
+    query = _read_word(args.word, args.max_length)
     graph = stallings.build_graph(gens)
     witness = stallings.express(graph, query)
     out: dict = {"member": witness is not None}
@@ -65,13 +66,13 @@ def _cmd_tower_phi(args) -> dict:
 
 
 def _cmd_tower_normalize(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     e = tower.normalize(args.level, w)
     return {"level": e.level, "word": format_word(e.word)}
 
 
 def _cmd_tower_root(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     e = tower.normalize(args.level, w)
     cert = tower.has_p_root_in_H(
         e,
@@ -99,7 +100,7 @@ def _cmd_tower_root(args) -> dict:
 
 
 def _cmd_tower_centralizer_check(args) -> dict:
-    w = _check_length(parse_word(args.word), args.max_length)
+    w = _read_word(args.word, args.max_length)
     ok = tower.centralizer_compat(args.level, w)
     return {"level": args.level, "word": format_word(w), "compatible": ok}
 
@@ -124,7 +125,7 @@ def _cmd_abelianize(args) -> dict:
     }
 
 
-def _parse_amalgam_expression(text: str, group) -> list:
+def _parse_amalgam_expression(text: str, limit: int) -> list:
     """Split an adjunction expression into base words and t-powers.
 
     Factors are separated by ``*`` or whitespace; ``t`` and ``t^j`` denote
@@ -140,12 +141,12 @@ def _parse_amalgam_expression(text: str, group) -> list:
             except ValueError:
                 raise words.WordSyntaxError(f"bad t-power {chunk!r}", 1) from None
         else:
-            items.append(parse_word(chunk))
+            items.append(_read_word(chunk, limit))
     return items
 
 
 def _cmd_adjoin(args) -> dict:
-    root_of = parse_word(args.root_of)
+    root_of = _read_word(args.root_of, args.max_length)
     group = adjunction.adjoin_root(args.base_rank, root_of, args.prime, args.depth)
     out = {
         "base_rank": group.base_rank,
@@ -157,7 +158,23 @@ def _cmd_adjoin(args) -> dict:
     if group.root_of != root_of:
         out["rebased_from"] = format_word(root_of)
     if args.normalize is not None:
-        expr = _parse_amalgam_expression(args.normalize, group)
+        expr = _parse_amalgam_expression(args.normalize, args.max_length)
+        # Refuse before any long word is built.  Each normal form met while
+        # normalizing, the printed one too, and each power of x built on the
+        # way has at most B letters, B = sum(|w| + 2|x|) over base words w
+        # plus |x| * sum(|e| // p^d + 1) over t-powers t^e: t^e moves at most
+        # |e| // p^d + 1 powers of x into the tail, splitting a syllable into
+        # a coset representative and a power of x adds at most |x|, and the
+        # coset search builds powers of x at most 2|x| past the syllable.
+        x, q = len(group.root_of), group.relation_exponent
+        bases = [len(i) for i in expr if isinstance(i, words.Word)]
+        t_powers = [abs(i.exponent) for i in expr if isinstance(i, adjunction.TPower)]
+        bound = sum(bases) + 2 * x * len(bases) + x * sum(e // q + 1 for e in t_powers)
+        if bound > args.max_length:
+            raise tower.LengthLimitError(
+                f"normal form may reach {bound} letters "
+                f"(limit {args.max_length}; raise with --max-length)"
+            )
         element = adjunction.amalgam_normalize(group, expr)
         out["normal_form"] = str(element)
         out["prufer_image"] = str(adjunction.prufer_quotient_map(group, element))
@@ -282,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_text(result: dict) -> str:
+def _format_result(result: dict) -> str:
     lines = []
     for key, value in result.items():
         if isinstance(value, list) and all(isinstance(i, str) for i in value):
@@ -313,7 +330,7 @@ def run(argv=None) -> int:
     if args.json:
         print(json.dumps(result, sort_keys=True))
     else:
-        print(_render_text(result))
+        print(_format_result(result))
     return 0
 
 

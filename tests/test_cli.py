@@ -80,6 +80,15 @@ class TestSubgroup:
         assert data["member"] is True
         assert data["graph"] == ["0 1 1", "1 0 1"]
 
+    def test_generators_obey_max_length(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "--max-length", "10", "subgroup", "x1^300000", "x2", "--word", "x2"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "300000 letters" in err and "limit 10" in err
+
     def test_folding_pair_witness(self, capsys):
         code, out, _ = invoke(capsys, "subgroup", "x1^13", "x1^21", "--word", "x1")
         assert code == 0
@@ -254,6 +263,29 @@ class TestAdjoin:
         assert code == 0
         assert data["normal_form"] == "1"
         assert data["prufer_image"] == "0"
+
+    def test_root_of_obeys_max_length(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "--max-length", "10", "adjoin", "--base-rank", "1",
+            "--root-of", "x1^300000", "--prime", "2", "--depth", "1",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "300000 letters" in err and "limit 10" in err
+
+    def test_normalize_obeys_max_length(self, capsys):
+        adjoin = ("adjoin", "--base-rank", "1", "--root-of", "x1", "--prime", "2", "--depth", "1")
+        start = time.perf_counter()
+        for expression in ("t^4000000", "t^4000000000", "x1^300000", "t x1^5 t^20"):
+            code, out, err = invoke(
+                capsys, "--max-length", "10", *adjoin, "--normalize", expression
+            )
+            assert code == 1 and out == ""
+            assert "letters" in err and "limit 10" in err
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = invoke(capsys, "--max-length", "10", *adjoin, "--normalize", "t^2 x1^-1")
+        assert code == 0 and "normal_form=1\nprufer_image=0\n" in out
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_rebase_is_reported(self, capsys):
