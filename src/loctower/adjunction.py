@@ -20,6 +20,7 @@ from .words import (
     IdentityWordError,
     Word,
     _conjugator_length,
+    _reduced,
     format_word,
     invert,
     multiply,
@@ -117,6 +118,21 @@ def parse_prufer(p: int, text: str) -> PruferElement:
 # the adjunction group and its normal form
 
 
+# p^depth is refused above this many bits, before it is computed; its
+# decimal form, which reports print, then has at most 1,234 digits.
+MAX_RELATION_BITS = 4096
+
+
+def _check_relation_bits(p: int, d: int) -> None:
+    """Refuse p^d above MAX_RELATION_BITS bits; p^d has more than
+    d * (bitlen(p) - 1) bits, so huge depths never reach the power."""
+    if d * (p.bit_length() - 1) >= MAX_RELATION_BITS or (p**d).bit_length() > MAX_RELATION_BITS:
+        raise ValueError(
+            f"relation exponent {p}^{d} has more than {MAX_RELATION_BITS} bits "
+            "(adjunction.MAX_RELATION_BITS)"
+        )
+
+
 @dataclass(frozen=True)
 class AdjunctionGroup:
     """<F_base_rank, t | t^(p^depth) = root_of> with root_of primitive."""
@@ -134,6 +150,7 @@ class AdjunctionGroup:
             raise ValueError(f"{self.prime} is not prime")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        _check_relation_bits(self.prime, self.depth)
         if primitive_root(self.root_of).exponent != 1:
             raise ValueError("root_of must be primitive; use adjoin_root to rebase")
 
@@ -381,7 +398,8 @@ def _relabel_to_base(w: Word, level: int) -> Word:
     """Shift the level-n indices 2^n..2^(n+1)-1 down to 1..2^n."""
     offset = 2**level - 1
     shift = {l: l - offset if l > 0 else l + offset for l in set(w.letters)}
-    return Word(tuple(map(shift.__getitem__, w.letters)))
+    # a sign-preserving shift of level-n indices to positive ones keeps w reduced
+    return _reduced(tuple(map(shift.__getitem__, w.letters)))
 
 
 def witness_nonperfect(n: int, p: int, d: int) -> NonPerfectReport:
@@ -393,6 +411,7 @@ def witness_nonperfect(n: int, p: int, d: int) -> NonPerfectReport:
         raise ValueError("level must be nonnegative")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _check_relation_bits(p, d)
     base_rank = 2**n
     top = promote(TowerElement(0, Word((1,))), n)
     distinguished = _relabel_to_base(top.word, n)

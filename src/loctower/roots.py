@@ -14,6 +14,7 @@ from .words import (
     IdentityWordError,
     Word,
     _conjugator_length,
+    _reduced,
     multiply,
 )
 
@@ -70,7 +71,9 @@ def primitive_root(w: Word) -> RootDecomposition:
         raise IdentityWordError("identity word has no primitive root")
     letters = w.letters
     i, core, d = _root_split(letters)
-    root = Word(letters[:i] + core[:d] + letters[len(letters) - i :])
+    # v = core[:d] ends like the cyclically reduced core (d divides |core|),
+    # so c v c^-1 has the joins of the reduced input and v is cyclically reduced
+    root = _reduced(letters[:i] + core[:d] + letters[len(letters) - i :])
     return RootDecomposition(root, len(core) // d)
 
 
@@ -90,7 +93,8 @@ def kth_root(w: Word, k: int) -> Word | None:
     exponent = len(core) // d
     if exponent % k:
         return None
-    return Word(letters[:i] + core[:d] * (exponent // k) + letters[len(letters) - i :])
+    # c v^j c^-1 with v = core[:d] cyclically reduced, as in primitive_root
+    return _reduced(letters[:i] + core[:d] * (exponent // k) + letters[len(letters) - i :])
 
 
 def centralizer_generator(w: Word) -> Word:

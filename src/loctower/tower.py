@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .roots import centralizer_generator, is_prime, kth_root
-from .words import IDENTITY, IdentityWordError, Word, invert, multiply
+from .words import IDENTITY, IdentityWordError, Word, _reduced, invert, multiply
 
 
 class LengthLimitError(ValueError):
@@ -94,7 +94,9 @@ def phi(n: int, w: Word, max_length: int | None = None) -> Word:
     their boundaries), so the length is exactly 4*len(w).
     """
     validate_level_word(n, w)
-    return Word(_phi_letters(w.letters, max_length))
+    # by parity a block's last letter cancels the next block's head only in
+    # x_i x_i^-1 or x_i^-1 x_i, which the reduced input does not hold
+    return _reduced(_phi_letters(w.letters, max_length))
 
 
 def phi_preimage(n: int, u: Word) -> Word | None:
@@ -107,7 +109,8 @@ def phi_preimage(n: int, u: Word) -> Word | None:
     """
     validate_level_word(n + 1, u)
     pre = _preimage_letters(u.letters)
-    return None if pre is None else Word(pre)
+    # a preimage holding x_i x_i^-1 would expand to a cancelling join of u
+    return None if pre is None else _reduced(pre)
 
 
 def root_transfer(n: int, w: Word, k: int) -> Word | None:
@@ -152,7 +155,8 @@ def normalize(level: int, w: Word) -> TowerElement:
             break
         letters = pre
         level -= 1
-    return TowerElement(level, w if letters is w.letters else Word(letters))
+    # each preimage is reduced, as in phi_preimage
+    return TowerElement(level, w if letters is w.letters else _reduced(letters))
 
 
 def promote(e: TowerElement, target: int, max_length: int | None = None) -> TowerElement:
@@ -168,7 +172,8 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     letters = e.word.letters
     for _ in range(e.level, target):
         letters = _phi_letters(letters, max_length)
-    return TowerElement(target, Word(letters))
+    # phi images of reduced words are reduced, as in phi
+    return TowerElement(target, _reduced(letters))
 
 
 def h_identity() -> TowerElement:

@@ -4,6 +4,12 @@ A letter is a nonzero integer: ``+i`` stands for the generator ``x_i`` and
 ``-i`` for its inverse.  ``Word`` values are always freely reduced; the
 empty word is the group identity.  Words are immutable and every operation
 returns a fresh value, so they can be shared freely between tasks.
+
+A word is validated where it enters: the ``Word`` constructor, :func:`reduce`
+and the parser check every letter.  Kernels whose result is reduced by
+construction from valid inputs (inversion, powers, cyclic reduction, roots,
+the tower's block expansion and decoding) wrap it with :func:`_reduced`
+instead of checking it again.
 """
 
 from __future__ import annotations
@@ -59,6 +65,17 @@ class Word:
 IDENTITY = Word()
 
 
+def _reduced(letters: tuple[int, ...]) -> Word:
+    """Wrap a tuple already known to be freely reduced and made of nonzero
+    ints, without the per-letter check of ``Word.__post_init__``.
+
+    Each caller states in a comment why its result is reduced.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def word(*letters: int) -> Word:
     """Reduce and wrap a letter sequence.
 
@@ -95,7 +112,8 @@ def multiply(a: Word, b: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(map(neg, reversed(w.letters))))
+    # a reduced word read backwards with every sign flipped is reduced
+    return _reduced(tuple(map(neg, reversed(w.letters))))
 
 
 def power(w: Word, k: int) -> Word:
@@ -113,7 +131,10 @@ def power(w: Word, k: int) -> Word:
     if k < 0:
         letters, k = tuple(map(neg, reversed(letters))), -k
     i, n = _conjugator_length(letters), len(letters)
-    return Word(letters[:i] + letters[i : n - i] * k + letters[n - i :])
+    # u = letters[i:n-i] is cyclically reduced, so no join of c u^k c^-1
+    # cancels: c|u and u|c^-1 are joins of the reduced input, u|u is not
+    # x x^-1 because i is maximal
+    return _reduced(letters[:i] + letters[i : n - i] * k + letters[n - i :])
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -138,7 +159,8 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """
     letters = w.letters
     i = _conjugator_length(letters)
-    return Word(letters[:i]), Word(letters[i : len(letters) - i])
+    # slices of a reduced word are reduced
+    return _reduced(letters[:i]), _reduced(letters[i : len(letters) - i])
 
 
 def is_cyclically_reduced(w: Word) -> bool:

@@ -8,7 +8,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from loctower.roots import primitive_root
-from loctower.tower import validate_level_word
+from loctower.tower import level_index_range, validate_level_word
 from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
 
 
@@ -22,6 +22,15 @@ def words_strategy(rank: int = 3, max_len: int = 12):
 
 def nonempty_words_strategy(rank: int = 3, max_len: int = 12):
     return words_strategy(rank, max_len).filter(lambda w: bool(w))
+
+
+def level_letters(level: int):
+    indices = level_index_range(level)
+    return st.integers(indices.start, indices.stop - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+
+
+def level_words(level: int, max_len: int):
+    return st.lists(level_letters(level), max_size=max_len).map(reduce)
 
 
 def random_reduced_letters(rng: random.Random, length: int, alphabet) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loctower.adjunction import (
+    MAX_RELATION_BITS,
     AdjunctionGroup,
     AmalgamElement,
     PruferElement,
@@ -223,6 +224,17 @@ class TestAdjunctionGroup:
 
     def test_relation_exponent(self):
         assert AdjunctionGroup(1, word(1), 3, 2).relation_exponent == 9
+
+    def test_relation_exponent_is_bounded(self):
+        largest = AdjunctionGroup(1, word(1), 2, MAX_RELATION_BITS - 1).relation_exponent
+        assert largest.bit_length() == MAX_RELATION_BITS
+        start = time.perf_counter()
+        for p, d in ((2, MAX_RELATION_BITS), (3, 2600), (2, 10**9), (10**9 + 7, 10**9)):
+            with pytest.raises(ValueError, match="MAX_RELATION_BITS"):
+                AdjunctionGroup(1, word(1), p, d)
+            with pytest.raises(ValueError, match="MAX_RELATION_BITS"):
+                witness_nonperfect(1, p, d)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNormalForm:

@@ -1,0 +1,200 @@
+"""Words are validated where they enter; kernels wrap reduced results unchecked.
+
+Every result built through ``words._reduced`` must pass the full check of
+``Word.__post_init__``.  The inputs below stress each call site's reason for
+skipping it, and an AST scan pins the set of call sites, so a new unchecked
+caller needs an edit here.
+"""
+
+import ast
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loctower
+from loctower.adjunction import _relabel_to_base
+from loctower.roots import kth_root, primitive_root
+from loctower.tower import (
+    TowerElement,
+    level_index_range,
+    normalize,
+    phi,
+    phi_preimage,
+    promote,
+)
+from loctower.words import (
+    Word,
+    cyclic_reduce,
+    invert,
+    is_cyclically_reduced,
+    max_index,
+    multiply,
+    power,
+    reduce,
+)
+
+from conftest import (
+    level_letters,
+    level_words,
+    nonempty_words_strategy,
+    oracle_phi_preimage,
+    words_strategy,
+)
+
+
+def assert_valid(r: Word) -> None:
+    """``r`` passes the constructor's full check and keeps its letters."""
+    assert type(r.letters) is tuple
+    assert Word(r.letters) == r, r.letters
+
+
+def conjugate(c: Word, u: Word) -> Word:
+    return multiply(multiply(c, u), invert(c))
+
+
+def cyclic_cores(rank=3, max_len=6):
+    return nonempty_words_strategy(rank, max_len).map(lambda w: cyclic_reduce(w)[1])
+
+
+class TestWords:
+    @given(words_strategy(4, 16))
+    def test_invert(self, w):
+        r = invert(w)
+        assert_valid(r)
+        assert multiply(w, r) == Word()
+
+    @given(words_strategy(4, 16))
+    def test_cyclic_reduce(self, w):
+        conj, core = cyclic_reduce(w)
+        assert_valid(conj)
+        assert_valid(core)
+        assert is_cyclically_reduced(core)
+        assert conjugate(conj, core) == w
+
+    @given(words_strategy(3, 6), cyclic_cores(), st.integers(-7, 7))
+    def test_power_of_conjugates(self, c, u, k):
+        w = conjugate(c, u)
+        r = power(w, k)
+        assert_valid(r)
+        letters = w.letters if k >= 0 else invert(w).letters
+        assert r == reduce(letters * abs(k))
+
+
+class TestRoots:
+    @given(words_strategy(3, 5), cyclic_cores(3, 5), st.integers(1, 6), st.booleans())
+    def test_roots_of_conjugated_powers(self, c, v, k, conjugated):
+        if not conjugated:
+            c = Word()
+        w = power(conjugate(c, v), k)
+        dec = primitive_root(w)
+        assert_valid(dec.root)
+        assert power(dec.root, dec.exponent) == w
+        assert dec.exponent % k == 0
+        for j in range(1, k + 1):
+            for signed in (j, -j):
+                root = kth_root(w, signed)
+                if k % j == 0:
+                    assert root is not None
+                if root is not None:
+                    assert_valid(root)
+                    assert power(root, signed) == w
+
+
+class TestTower:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_phi_promote_normalize(self, level, data):
+        w = data.draw(level_words(level, 10))
+        image = phi(level, w)
+        assert_valid(image)
+        top = promote(TowerElement(level, w), level + 2)
+        assert_valid(top.word)
+        assert top.word == phi(level + 1, image)
+        e = normalize(level + 2, top.word)
+        assert_valid(e.word)
+        assert e == normalize(level, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_preimages_of_images_near_misses_and_random_words(self, level, data):
+        image = list(phi(level, data.draw(level_words(level, 10))).letters)
+        near_miss = image[:]
+        if image:
+            i = data.draw(st.integers(0, len(image) - 1))
+            near_miss[i] = data.draw(level_letters(level + 1))
+        for u in (Word(image), reduce(near_miss), data.draw(level_words(level + 1, 12))):
+            pre = phi_preimage(level, u)
+            assert pre == oracle_phi_preimage(level, u)
+            if pre is not None:
+                assert_valid(pre)
+                assert phi(level, pre) == u
+            e = normalize(level + 1, u)
+            assert_valid(e.word)
+            assert promote(e, level + 1).word == u
+
+
+class TestAdjunction:
+    @given(st.integers(0, 5), st.data())
+    def test_relabel_to_base(self, level, data):
+        w = data.draw(level_words(level, 16))
+        r = _relabel_to_base(w, level)
+        assert_valid(r)
+        assert max_index(r) <= 2**level
+        offset = level_index_range(level).start - 1
+        assert r.letters == tuple(l - offset if l > 0 else l + offset for l in w.letters)
+
+    def test_relabel_promoted_generator(self):
+        for level in range(6):
+            r = _relabel_to_base(promote(TowerElement(0, Word((1,))), level).word, level)
+            assert_valid(r)
+            assert len(r) == 4**level
+
+
+UNVALIDATED_CALLERS = {
+    ("words", "invert"),
+    ("words", "power"),
+    ("words", "cyclic_reduce"),
+    ("roots", "primitive_root"),
+    ("roots", "kth_root"),
+    ("tower", "phi"),
+    ("tower", "promote"),
+    ("tower", "phi_preimage"),
+    ("tower", "normalize"),
+    ("adjunction", "_relabel_to_base"),
+}
+NEVER_UNVALIDATED = ("cli", "stallings", "presentations")
+
+
+def _source_trees():
+    package = Path(loctower.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+
+
+def _names(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+class TestUnvalidatedCallSites:
+    def test_callers_of_reduced_are_pinned(self):
+        callers = set()
+        for module, tree in _source_trees().items():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+                    if "_reduced" in set().union(*map(_names, calls)):
+                        callers.add((module, node.name))
+        assert callers == UNVALIDATED_CALLERS
+
+    def test_entry_points_never_use_reduced(self):
+        trees = _source_trees()
+        for module in NEVER_UNVALIDATED:
+            assert "_reduced" not in _names(trees[module]), module

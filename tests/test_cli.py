@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
@@ -287,25 +288,38 @@ class TestAdjoin:
         code, out, _ = invoke(capsys, "--max-length", "10", *adjoin, "--normalize", "t^2 x1^-1")
         assert code == 0 and "normal_form=1\nprufer_image=0\n" in out
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_rebase_is_reported(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            "--json",
-            "adjoin",
-            "--base-rank",
-            "1",
-            "--root-of",
-            "x1^2",
-            "--prime",
-            "3",
-            "--depth",
-            "1",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(
+                capsys,
+                "--json",
+                "adjoin",
+                "--base-rank",
+                "1",
+                "--root-of",
+                "x1^2",
+                "--prime",
+                "3",
+                "--depth",
+                "1",
+            )
         data = json.loads(out)
         assert code == 0
+        assert err == "" and caught == []
         assert data["root_of"] == "x1"
         assert data["rebased_from"] == "x1^2"
+
+    def test_depth_is_bounded(self, capsys):
+        start = time.perf_counter()
+        for depth in ("20000", str(10**9)):
+            code, out, err = invoke(
+                capsys, "adjoin", "--base-rank", "1", "--root-of", "x1",
+                "--prime", "2", "--depth", depth,
+            )
+            assert code == 1 and out == ""
+            assert "MAX_RELATION_BITS" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWitness:
@@ -355,6 +369,16 @@ class TestWitness:
             capsys, "--max-length", "100", "witness", "--level", "3", "--prime", "2", "--depth", "1"
         )
         assert code == 0 and "quotient=Z/2" in out
+
+    def test_depth_is_bounded(self, capsys):
+        start = time.perf_counter()
+        for depth in ("20000", str(10**9)):
+            code, out, err = invoke(
+                capsys, "witness", "--level", "1", "--prime", "2", "--depth", depth
+            )
+            assert code == 1 and out == ""
+            assert "MAX_RELATION_BITS" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPrufer:

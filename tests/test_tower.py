@@ -37,20 +37,17 @@ from loctower.words import (
     word,
 )
 
-from conftest import oracle_phi_preimage, random_nonempty_word, random_word
+from conftest import (
+    level_letters,
+    level_words,
+    oracle_phi_preimage,
+    random_nonempty_word,
+    random_word,
+)
 
 
 def random_level_word(rng, level, max_len):
     return random_word(rng, max_len, level_index_range(level))
-
-
-def level_letters(level):
-    indices = level_index_range(level)
-    return st.integers(indices.start, indices.stop - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-
-
-def level_words(level, max_len):
-    return st.lists(level_letters(level), max_size=max_len).map(reduce)
 
 
 class TestPhi:
