@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .roots import is_prime, kth_root, primitive_root
+from .roots import is_prime, primitive_root
 from .tower import TowerElement, promote
 from .words import (
     IdentityWordError,
@@ -123,9 +123,14 @@ def parse_prufer(p: int, text: str) -> PruferElement:
 MAX_RELATION_BITS = 4096
 
 
-def _check_relation_bits(p: int, d: int) -> None:
-    """Refuse p^d above MAX_RELATION_BITS bits; p^d has more than
-    d * (bitlen(p) - 1) bits, so huge depths never reach the power."""
+def _check_relation(p: int, d: int) -> None:
+    """Refuse a non-prime p, a depth d < 1 and p^d above MAX_RELATION_BITS
+    bits; p^d has more than d * (bitlen(p) - 1) bits, so huge depths never
+    reach the power."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if d < 1:
+        raise ValueError("depth must be >= 1")
     if d * (p.bit_length() - 1) >= MAX_RELATION_BITS or (p**d).bit_length() > MAX_RELATION_BITS:
         raise ValueError(
             f"relation exponent {p}^{d} has more than {MAX_RELATION_BITS} bits "
@@ -146,11 +151,7 @@ class AdjunctionGroup:
         if not self.root_of:
             raise IdentityWordError("cannot adjoin a root to the identity")
         validate_rank(self.root_of, self.base_rank)
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        _check_relation_bits(self.prime, self.depth)
+        _check_relation(self.prime, self.depth)
         if primitive_root(self.root_of).exponent != 1:
             raise ValueError("root_of must be primitive; use adjoin_root to rebase")
 
@@ -235,25 +236,6 @@ class AmalgamElement:
         return "*".join(parts) if parts else "1"
 
 
-def _power_of(x: Word, a: Word) -> int | None:
-    """Exponent e with x^e = a, or None.  Assumes x primitive.
-
-    With x = c u c^-1 and u cyclically reduced, x^e has exactly
-    2|c| + |e||u| letters, so the length of a leaves one candidate |e|.
-    """
-    if not a:
-        return 0
-    c = _conjugator_length(x.letters)
-    e, rest = divmod(len(a) - 2 * c, len(x) - 2 * c)
-    if rest or e <= 0:
-        return None
-    if power(x, e) == a:
-        return e
-    if power(x, -e) == a:
-        return -e
-    return None
-
-
 def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     """Canonical representative of the left coset w<x>, for nontrivial x.
 
@@ -269,8 +251,11 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     every shortest w x^k with k > 0 has k in {k0, k0 + 1}, and the minimum
     over all k is among the at most 5 candidates 0, +-k0, +-(k0 + 1).  C is
     read off one product w x^(+-K) with K|u| > |w|, which cancels all C
-    letters.  The cost is O(|w| + |x|).
+    letters.  The cost is O(|w| + |x|).  For w = x^e the candidate -e gives
+    the empty representative, so (IDENTITY, e) says that w is a power of x.
     """
+    if not w:
+        return w, 0
     c = _conjugator_length(x.letters)
     u = len(x) - 2 * c
     reach = len(w) // u + 2
@@ -317,13 +302,9 @@ def amalgam_normalize(
             a = multiply(power(x, tail), item)
             if syllables and isinstance(syllables[-1], Word):
                 a = multiply(syllables.pop(), a)
-            e = _power_of(x, a)
-            if e is not None:
-                tail = e
-            else:
-                rep, e = _coset_rep(x, a)
+            rep, tail = _coset_rep(x, a)
+            if rep:
                 syllables.append(rep)
-                tail = e
         else:
             raise TypeError(f"expression items must be Word or TPower, got {item!r}")
     return AmalgamElement(group, tuple(syllables), tail)
@@ -402,45 +383,36 @@ def _relabel_to_base(w: Word, level: int) -> Word:
     return _reduced(tuple(map(shift.__getitem__, w.letters)))
 
 
-def witness_nonperfect(n: int, p: int, d: int) -> NonPerfectReport:
+def witness_nonperfect(
+    n: int, p: int, d: int, max_length: int | None = None
+) -> NonPerfectReport:
     """Adjoin a depth-d p-root to the rootless distinguished element of the
-    level-n tower truncation and verify the surjection onto Z/p^d."""
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    _check_relation_bits(p, d)
-    base_rank = 2**n
-    top = promote(TowerElement(0, Word((1,))), n)
+    level-n tower truncation and verify the surjection onto Z/p^d.
+
+    The distinguished word has 4^n letters; ``max_length`` bounds it as in
+    :func:`promote`.  Building the group checks that the word is primitive,
+    which in a free group means it has no p-th root for any p.
+    """
+    _check_relation(p, d)
+    top = promote(TowerElement(0, Word((1,))), n, max_length)
     distinguished = _relabel_to_base(top.word, n)
-    rootless = kth_root(distinguished, p) is None
-    if not rootless:
-        raise AssertionError("distinguished element unexpectedly has a p-root")
-    group = adjoin_root(base_rank, distinguished, p, d)
-    # the defining relator t^(p^d) * x^-1 must die in the Prüfer quotient
+    group = AdjunctionGroup(2**n, distinguished, p, d)
+    # the defining relator t^(p^d) * x^-1 must be trivial in the amalgam
     relator = amalgam_normalize(
         group, (TPower(group.relation_exponent), invert(distinguished))
     )
     if not relator.is_identity():
         raise AssertionError("defining relation fails in the amalgam")
-    t_image = prufer(p, 1, d)
-    relator_image = prufer_quotient_map(group, relator)
-    if not relator_image.is_zero():
-        raise AssertionError("defining relator has nonzero Prüfer image")
-    # t attains 1/p^d, an element of exact order p^d
-    attained = prufer_quotient_map(group, amalgam_normalize(group, (TPower(1),)))
-    assert attained == t_image and attained.order == p**d
+    t = amalgam_normalize(group, (TPower(1),))
     return NonPerfectReport(
         level=n,
         prime=p,
         depth=d,
-        base_rank=base_rank,
+        base_rank=group.base_rank,
         distinguished=distinguished,
-        rootless=rootless,
+        rootless=True,
         relator_name=f"t^{group.relation_exponent}*x^-1",
-        relator_image=relator_image,
-        t_image=t_image,
-        quotient_order=p**d,
+        relator_image=prufer_quotient_map(group, relator),
+        t_image=prufer_quotient_map(group, t),
+        quotient_order=group.relation_exponent,
     )

@@ -186,15 +186,7 @@ def _cmd_adjoin(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    # the distinguished word has 4^level letters; the first test keeps
-    # 4 ** level from being computed for huge levels
-    limit = args.max_length
-    if 2 * args.level > limit.bit_length() or 4**args.level > limit:
-        raise tower.LengthLimitError(
-            f"level-{args.level} distinguished word has 4^{args.level} letters "
-            f"(limit {limit}; raise with --max-length)"
-        )
-    report = adjunction.witness_nonperfect(args.level, args.prime, args.depth)
+    report = adjunction.witness_nonperfect(args.level, args.prime, args.depth, args.max_length)
     return report.to_dict()
 
 

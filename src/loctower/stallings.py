@@ -37,10 +37,6 @@ class SubgroupGraph:
             steps[(v, -label)] = (u, invert(y).letters)
         object.__setattr__(self, "_steps", steps)
 
-    def step(self, vertex: int, letter: int) -> int | None:
-        hit = self._steps.get((vertex, letter))
-        return None if hit is None else hit[0]
-
 
 def rank(g: SubgroupGraph) -> int:
     """Rank of the subgroup, by Euler characteristic of the core graph."""
@@ -164,20 +160,15 @@ def build_graph(generators) -> SubgroupGraph:
     )
 
 
-def trace(g: SubgroupGraph, w: Word, start: int = 0) -> int | None:
-    """Endpoint of the path spelling ``w`` from ``start``, or None."""
-    v = start
-    for letter in w.letters:
-        nxt = g.step(v, letter)
-        if nxt is None:
-            return None
-        v = nxt
-    return v
-
-
 def contains(g: SubgroupGraph, w: Word) -> bool:
     """True iff ``w`` lies in the subgroup; the identity always does."""
-    return trace(g, w) == 0
+    v = 0
+    for letter in w.letters:
+        hit = g._steps.get((v, letter))
+        if hit is None:
+            return False
+        v = hit[0]
+    return v == 0
 
 
 def express(g: SubgroupGraph, w: Word) -> Word | None:

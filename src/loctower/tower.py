@@ -22,29 +22,22 @@ class LengthLimitError(ValueError):
     """A promotion would exceed the configured word-length guard."""
 
 
-def level_index_range(n: int) -> range:
-    """Generator indices of the level-n free group."""
+def validate_level_word(n: int, w: Word) -> None:
+    """Check that ``w`` lives at level n: x_i is a level-n generator exactly
+    when i has n + 1 bits, which decides deep levels without building 2^n."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return range(2**n, 2 ** (n + 1))
-
-
-def validate_level_word(n: int, w: Word) -> None:
-    indices = level_index_range(n)
     letters = w.letters
+    # bit length is monotone in i, so the extreme indices decide every letter
     if not letters or (
-        indices.start <= min(map(abs, letters)) and max(map(abs, letters)) < indices.stop
+        min(map(abs, letters)).bit_length() == n + 1 == max(map(abs, letters)).bit_length()
     ):
         return
-    bad = next(abs(l) for l in letters if abs(l) not in indices)
+    bad = next(i for i in map(abs, letters) if i.bit_length() != n + 1)
     raise ValueError(
         f"generator x{bad} is not valid at level {n} "
-        f"(expected indices {indices.start}..{indices.stop - 1})"
+        f"(it is a level-{bad.bit_length() - 1} generator)"
     )
-
-
-def generator(i: int) -> Word:
-    return Word((i,))
 
 
 def _expand(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -56,14 +49,6 @@ def _expand(letters: tuple[int, ...]) -> tuple[int, ...]:
         block = (2 * i, 2 * i + 1, -2 * i, -2 * i - 1)
         table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
     return tuple(chain.from_iterable(map(table.__getitem__, letters)))
-
-
-def _phi_letters(letters: tuple[int, ...], max_length: int | None) -> tuple[int, ...]:
-    if max_length is not None and 4 * len(letters) > max_length:
-        raise LengthLimitError(
-            f"phi image would have {4 * len(letters)} letters (limit {max_length})"
-        )
-    return _expand(letters)
 
 
 def _preimage_letters(letters: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -93,10 +78,7 @@ def phi(n: int, w: Word, max_length: int | None = None) -> Word:
     The image of a reduced word is already reduced (blocks never cancel at
     their boundaries), so the length is exactly 4*len(w).
     """
-    validate_level_word(n, w)
-    # by parity a block's last letter cancels the next block's head only in
-    # x_i x_i^-1 or x_i^-1 x_i, which the reduced input does not hold
-    return _reduced(_phi_letters(w.letters, max_length))
+    return promote(TowerElement(n, w), n + 1, max_length).word
 
 
 def phi_preimage(n: int, u: Word) -> Word | None:
@@ -145,9 +127,12 @@ def normalize(level: int, w: Word) -> TowerElement:
     """Minimal-level representative: strip phi-preimages until none exists.
 
     The preimage of a level-n word lies at level n - 1, so only the input
-    is checked, and only the final letters become a Word.
+    is checked, and only the final letters become a Word.  The identity
+    lives at level 0.
     """
     validate_level_word(level, w)
+    if not w:
+        return TowerElement(0, w)
     letters = w.letters
     while level > 0:
         pre = _preimage_letters(letters)
@@ -159,20 +144,37 @@ def normalize(level: int, w: Word) -> TowerElement:
     return TowerElement(level, w if letters is w.letters else _reduced(letters))
 
 
+def _check_promotion(e: TowerElement, target: int, max_length: int | None) -> None:
+    """Refuse when promoting ``e`` to ``target`` gives more than
+    ``max_length`` letters, the identity counting as one.  Each level
+    multiplies the length by 4, so 4^k * m is compared by bit length first
+    and a huge k costs nothing."""
+    k, m = target - e.level, max(len(e.word), 1)
+    if max_length is not None and (2 * k > max_length.bit_length() or m << 2 * k > max_length):
+        raise LengthLimitError(
+            f"promotion from level {e.level} to {target} would give 4^{k}*{m} letters "
+            f"(limit {max_length})"
+        )
+
+
 def promote(e: TowerElement, target: int, max_length: int | None = None) -> TowerElement:
     """Apply phi repeatedly; same colimit element, higher-level word.
 
     The result is generally not in canonical form (that is the point).
+    ``max_length`` is checked once, before anything is built.
     """
     if target < e.level:
         raise ValueError(f"target level {target} is below current level {e.level}")
     if target == e.level:
         return TowerElement(target, e.word)
     validate_level_word(e.level, e.word)
+    _check_promotion(e, target, max_length)
     letters = e.word.letters
     for _ in range(e.level, target):
-        letters = _phi_letters(letters, max_length)
-    # phi images of reduced words are reduced, as in phi
+        letters = _expand(letters)
+    # by parity a block's last letter cancels the next block's head only in
+    # x_i x_i^-1 or x_i^-1 x_i, which a reduced word does not hold, so each
+    # phi image of a reduced word is reduced
     return TowerElement(target, _reduced(letters))
 
 
@@ -220,7 +222,11 @@ def has_p_root_in_H(
     cross_check: bool = False,
     max_length: int | None = None,
 ) -> RootCertificate:
-    """Decide whether ``e`` has a p-th root in the colimit group."""
+    """Decide whether ``e`` has a p-th root in the colimit group.
+
+    ``max_length`` bounds the promotions of cross-check mode; it is checked
+    once, for ``max_level``, before any level is built.
+    """
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if max_level < e.level:
@@ -233,10 +239,11 @@ def has_p_root_in_H(
             )
         return RootCertificate(NO_ROOT_PROVEN, p, "theorem", e.level, (e.level,), None)
 
+    _check_promotion(e, max_level, max_length)
     witness = None
     found_levels = []
     for level in range(e.level, max_level + 1):
-        w = promote(e, level, max_length=max_length).word
+        w = promote(e, level).word
         root = kth_root(w, p)
         if root is not None:
             found_levels.append(level)

@@ -163,10 +163,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return _reduced(letters[:i]), _reduced(letters[i : len(letters) - i])
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    return not w or w.letters[0] != -w.letters[-1]
-
-
 def support(w: Word) -> frozenset[int]:
     """Set of generator indices occurring in the reduced word."""
     return frozenset(map(abs, w.letters))

@@ -8,7 +8,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from loctower.roots import primitive_root
-from loctower.tower import level_index_range, validate_level_word
+from loctower.tower import validate_level_word
 from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
 
 
@@ -22,6 +22,17 @@ def words_strategy(rank: int = 3, max_len: int = 12):
 
 def nonempty_words_strategy(rank: int = 3, max_len: int = 12):
     return words_strategy(rank, max_len).filter(lambda w: bool(w))
+
+
+def level_index_range(n: int) -> range:
+    """Generator indices of the level-n free group."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    return range(2**n, 2 ** (n + 1))
+
+
+def is_cyclically_reduced(w: Word) -> bool:
+    return not w or w.letters[0] != -w.letters[-1]
 
 
 def level_letters(level: int):

@@ -29,7 +29,6 @@ from loctower.tower import (
     TowerElement,
     centralizer_compat,
     has_p_root_in_H,
-    level_index_range,
     phi,
     promote,
     root_transfer,
@@ -49,6 +48,7 @@ from loctower.words import (
 from conftest import (
     determinant,
     iter_reduced_tuples,
+    level_index_range,
     matrix_multiply,
     oracle_primitive_root,
     random_nonempty_word,

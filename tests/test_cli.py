@@ -187,6 +187,40 @@ class TestTower:
         assert code == 0
         assert "compatible=true" in out
 
+    def test_identity_drops_to_level_zero_at_once(self, capsys):
+        deep = "3000000"
+        for argv, expected in (
+            (("normalize", "1", "--level", deep), "level=0\n"),
+            (("root", "1", "--level", deep, "--prime", "2", "--max-level", deep), "base_level=0\n"),
+        ):
+            start = time.perf_counter()
+            code, out, _ = invoke(capsys, "tower", *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 0 and expected in out
+
+    def test_deep_level_is_refused_without_building_it(self, capsys):
+        deep = ("--level", "1000000000")
+        for argv in (
+            ("phi", "x1", *deep),
+            ("normalize", "x1", *deep),
+            ("root", "x1", *deep, "--prime", "2", "--max-level", "1000000000"),
+            ("centralizer-check", "x1", *deep),
+        ):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, "tower", *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert "x1" in err and "level-0" in err and len(err) < 200
+
+    def test_cross_check_levels_obey_max_length(self, capsys):
+        root = ("tower", "root", "1", "--level", "0", "--prime", "2", "--cross-check")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *root, "--max-level", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "limit 1000000" in err
+        code, out, _ = invoke(capsys, *root, "--max-level", "9")
+        assert code == 0 and "checked_levels=0,1,2,3,4,5,6,7,8,9\n" in out
+
 
 class TestAbelianize:
     def test_triangle(self, capsys):

@@ -13,7 +13,6 @@ from loctower.stallings import (
     express,
     graph_edge_lines,
     rank,
-    trace,
 )
 from loctower.words import (
     IDENTITY,
@@ -118,7 +117,9 @@ class TestMembership:
         g = build_graph([word(1, 1), word(2)])
         assert contains(g, word(1, 1, 2))
         assert contains(g, word(2, -1, -1))
-        assert not contains(g, word(1))
+        assert not contains(g, word(1))  # open path
+        assert not contains(g, word(1, 2))  # no x2 edge leaves the middle of x1^2
+        assert not contains(g, word(3))  # no x3 edge at all
         assert contains(g, IDENTITY)
 
     def test_commutator_subgroup_misses_generators(self):
@@ -228,10 +229,3 @@ class TestRank:
             g = build_graph(gens)
             assert 1 <= rank(g) <= len(gens)
 
-
-class TestTrace:
-    def test_paths(self):
-        g = build_graph([word(1, 2)])
-        assert trace(g, word(1)) is not None
-        assert trace(g, word(2)) is None
-        assert trace(g, word(1, 2)) == 0

@@ -2,6 +2,7 @@
 colimit group law, root transfer, and centralizer compatibility."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from loctower.tower import (
     h_inverse,
     h_multiply,
     has_p_root_in_H,
-    level_index_range,
     normalize,
     phi,
     phi_preimage,
@@ -38,6 +38,7 @@ from loctower.words import (
 )
 
 from conftest import (
+    level_index_range,
     level_letters,
     level_words,
     oracle_phi_preimage,
@@ -166,6 +167,31 @@ class TestNormalizePromote:
     def test_promote_length_guard(self):
         with pytest.raises(LengthLimitError):
             promote(TowerElement(0, word(1)), 4, max_length=100)
+        assert len(promote(TowerElement(0, word(1)), 3, max_length=64).word) == 64
+        # the identity counts as one letter, so deep promotions are refused
+        # before any level is built
+        start = time.perf_counter()
+        with pytest.raises(LengthLimitError, match="limit 3"):
+            phi(0, IDENTITY, max_length=3)
+        with pytest.raises(LengthLimitError, match="limit 100"):
+            promote(TowerElement(0, IDENTITY), 10**9, max_length=100)
+        with pytest.raises(LengthLimitError, match="limit 100"):
+            has_p_root_in_H(TowerElement(0, IDENTITY), 2, 10**9, cross_check=True, max_length=100)
+        assert time.perf_counter() - start < 1.0
+
+    def test_identity_normalizes_to_level_zero(self):
+        start = time.perf_counter()
+        assert normalize(3 * 10**6, IDENTITY) == TowerElement(0, IDENTITY)
+        assert time.perf_counter() - start < 1.0
+
+    def test_deep_levels_are_decided_by_bit_length(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"x1 is not valid at level 1000000000 \(it is a level-0"):
+            normalize(10**9, word(1))
+        with pytest.raises(ValueError, match=r"x4 is not valid at level 1 \(it is a level-2"):
+            phi(1, word(2, 4))
+        assert time.perf_counter() - start < 1.0
+        assert normalize(10**4, word(2**10**4)) == TowerElement(10**4, word(2**10**4))
 
     def test_normalize_after_promote_is_identity(self):
         rng = random.Random(14)

@@ -12,7 +12,6 @@ from loctower.words import (
     cyclic_reduce,
     format_word,
     invert,
-    is_cyclically_reduced,
     multiply,
     parse_word,
     power,
@@ -23,6 +22,7 @@ from loctower.words import (
 )
 
 from conftest import (
+    is_cyclically_reduced,
     letter_strategy,
     naive_reduce,
     oracle_cyclic_reduce,
