@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .roots import is_prime, primitive_root
 from .tower import TowerElement, promote
@@ -186,9 +186,6 @@ class TPower:
     exponent: int
 
 
-Syllable = Union[Word, TPower]
-
-
 @dataclass(frozen=True)
 class AmalgamElement:
     """Normal form: alternating coset-representative syllables (base words
@@ -196,7 +193,7 @@ class AmalgamElement:
     Two elements are equal iff their normal forms are identical."""
 
     group: AdjunctionGroup
-    syllables: tuple[Syllable, ...]
+    syllables: tuple[Word | TPower, ...]
     tail: int
 
     def __post_init__(self) -> None:
@@ -220,7 +217,7 @@ class AmalgamElement:
     def is_identity(self) -> bool:
         return not self.syllables and self.tail == 0
 
-    def to_expression(self) -> tuple[Syllable, ...]:
+    def to_expression(self) -> tuple[Word | TPower, ...]:
         items = list(self.syllables)
         if self.tail:
             items.append(power(self.group.root_of, self.tail))
@@ -275,7 +272,7 @@ def amalgam_identity(group: AdjunctionGroup) -> AmalgamElement:
 
 
 def amalgam_normalize(
-    group: AdjunctionGroup, expression: Sequence[Syllable]
+    group: AdjunctionGroup, expression: Sequence[Word | TPower]
 ) -> AmalgamElement:
     """Normal form of a product of base words and t-powers.
 
@@ -284,7 +281,7 @@ def amalgam_normalize(
     """
     x = group.root_of
     q = group.relation_exponent
-    syllables: list[Syllable] = []
+    syllables: list[Word | TPower] = []
     tail = 0
 
     for item in expression:
@@ -317,7 +314,7 @@ def amalgam_multiply(a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
 
 
 def amalgam_invert(e: AmalgamElement) -> AmalgamElement:
-    items: list[Syllable] = []
+    items: list[Word | TPower] = []
     for s in reversed(e.to_expression()):
         items.append(TPower(-s.exponent) if isinstance(s, TPower) else invert(s))
     return amalgam_normalize(e.group, tuple(items))

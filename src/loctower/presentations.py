@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word, commutator, invert, multiply, parse_word, power, validate_rank
+from .words import Word, invert, multiply, parse_word, power, validate_rank
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -60,10 +60,19 @@ class AbelianInvariants:
         return self.free_rank == 0 and not self.torsion
 
 
+def _exponent_row(w: Word) -> dict[int, int]:
+    """The nonzero exponent sums of ``w``, keyed by generator index."""
+    sums: dict[int, int] = {}
+    for l in w.letters:
+        g = abs(l)
+        sums[g] = sums.get(g, 0) + (1 if l > 0 else -1)
+    return {g: x for g, x in sums.items() if x}
+
+
 def exponent_sums(w: Word, generator_count: int) -> tuple[int, ...]:
     sums = [0] * generator_count
-    for letter in w.letters:
-        sums[abs(letter) - 1] += 1 if letter > 0 else -1
+    for g, x in _exponent_row(w).items():
+        sums[g - 1] = x
     return tuple(sums)
 
 
@@ -187,17 +196,71 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     )
 
 
+def _eliminate_units(rows: list[dict[int, int]]) -> tuple[list[list[int]], int]:
+    """Pivot on +-1 entries until none is left; return the dense remainder
+    and the number of pivots.
+
+    A pivot at (i, j) clears column j from the other rows by adding
+    multiples of row i, then retires row i and column j: each contributes
+    a 1 to the Smith diagonal.  Pivots are taken in the order of
+    :func:`smith_normal_form`: the first live row holding a unit, and in it
+    the first unit column; retired rows and columns trade places with the
+    first live one.  So, zero rows and columns aside, the remainder is the
+    block that the reduction's own unit pivots would leave.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    live_rows = list(range(len(rows)))
+    live_cols = sorted(col_rows)
+    col_at = {j: k for k, j in enumerate(live_cols)}
+    done = 0
+    while True:
+        for at in range(done, len(live_rows)):
+            i = live_rows[at]
+            units = [j for j, x in rows[i].items() if x == 1 or x == -1]
+            if units:
+                break
+        else:
+            break
+        row = rows[i]
+        j = min(units, key=col_at.__getitem__)
+        sign = row[j]
+        for k in col_rows[j] - {i}:
+            other = rows[k]
+            f = other[j] * sign
+            for c, x in row.items():
+                y = other.get(c, 0) - f * x
+                if y:
+                    if c not in other:
+                        col_rows[c].add(k)
+                    other[c] = y
+                else:
+                    del other[c]
+                    col_rows[c].discard(k)
+        for c in row:
+            col_rows[c].discard(i)
+        live_rows[at], live_rows[done] = live_rows[done], i
+        c = live_cols[done]
+        live_cols[col_at[j]], live_cols[done] = c, j
+        col_at[c] = col_at[j]
+        done += 1
+    rest = [rows[i] for i in live_rows[done:] if rows[i]]
+    cols = [j for j in live_cols[done:] if col_rows[j]]
+    return [[row.get(j, 0) for j in cols] for row in rest], done
+
+
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Read the abelianization off the Smith diagonal: zeros and missing
-    pivots contribute free rank, entries >= 2 torsion, ones nothing."""
-    m = relation_matrix(p)
-    if not m:
-        return AbelianInvariants((), p.generator_count)
-    snf = smith_normal_form(m)
-    diagonal = snf.diagonal()
-    nonzero = [d for d in diagonal if d != 0]
+    """Eliminate the unit pivots of the relation matrix on sparse rows,
+    then read the rest off the Smith diagonal of the remainder: zeros and
+    missing pivots contribute free rank, entries >= 2 torsion, ones
+    nothing."""
+    rows = [row for row in map(_exponent_row, p.relators) if row]
+    remainder, units = _eliminate_units(rows)
+    nonzero = [d for d in smith_normal_form(remainder).diagonal() if d] if remainder else []
     torsion = tuple(d for d in nonzero if d >= 2)
-    return AbelianInvariants(torsion, p.generator_count - len(nonzero))
+    return AbelianInvariants(torsion, p.generator_count - units - len(nonzero))
 
 
 def is_perfect(p: Presentation) -> bool:
@@ -245,14 +308,9 @@ def tower_truncation(n: int) -> Presentation:
     if n < 0:
         raise ValueError("depth must be nonnegative")
     count = 2 ** (n + 1) - 1
-    relators = []
-    for i in range(1, 2**n):
-        rel = multiply(
-            Word((i,)),
-            invert(commutator(Word((2 * i,)), Word((2 * i + 1,)))),
-        )
-        relators.append(rel)
-    return Presentation(count, tuple(relators))
+    # x_i [x_2i, x_2i+1]^-1 = x_i x_2i+1 x_2i x_2i+1^-1 x_2i^-1
+    relators = tuple(Word((i, 2 * i + 1, 2 * i, -2 * i - 1, -2 * i)) for i in range(1, 2**n))
+    return Presentation(count, relators)
 
 
 def parse_presentation(text: str) -> Presentation:

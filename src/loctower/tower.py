@@ -28,10 +28,11 @@ def validate_level_word(n: int, w: Word) -> None:
     if n < 0:
         raise ValueError("level must be nonnegative")
     letters = w.letters
-    # bit length is monotone in i, so the extreme indices decide every letter
-    if not letters or (
-        min(map(abs, letters)).bit_length() == n + 1 == max(map(abs, letters)).bit_length()
-    ):
+    # bit length is monotone in i, so the extreme indices decide every
+    # letter; they are found among the distinct letters, and the word is
+    # walked only to name its first offender
+    indices = set(map(abs, set(letters)))
+    if not letters or min(indices).bit_length() == n + 1 == max(indices).bit_length():
         return
     bad = next(i for i in map(abs, letters) if i.bit_length() != n + 1)
     raise ValueError(

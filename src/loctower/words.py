@@ -165,12 +165,12 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 def support(w: Word) -> frozenset[int]:
     """Set of generator indices occurring in the reduced word."""
-    return frozenset(map(abs, w.letters))
+    return frozenset(map(abs, set(w.letters)))
 
 
 def max_index(w: Word) -> int:
     """Largest generator index used; 0 for the identity."""
-    return max(map(abs, w.letters), default=0)
+    return max(map(abs, set(w.letters)), default=0)
 
 
 def validate_rank(w: Word, n: int) -> None:
@@ -217,7 +217,11 @@ def format_word(w: Word, symbol: str = "x") -> str:
     for start, run in runs.items():
         l = letters[start]
         parts[start] = f"{symbol}{l}^{run}" if l > 0 else f"{symbol}{-l}^{-run}"
-    return "*".join(filter(None, parts))
+    return "*".join(filter(None, parts) if runs else parts)
+
+
+# Python refuses int() on strings of more than 4,300 digits by default
+MAX_INTEGER_DIGITS = 4000
 
 
 class _WordParser:
@@ -241,8 +245,15 @@ class _WordParser:
             self.pos += 1
         if not self.peek().isdigit():
             self.fail("expected an integer")
+        first_digit = self.pos
         while self.peek().isdigit():
             self.pos += 1
+        if self.pos - first_digit > MAX_INTEGER_DIGITS:
+            raise WordSyntaxError(
+                f"integer of {self.pos - first_digit} digits exceeds the limit of "
+                f"{MAX_INTEGER_DIGITS} digits (MAX_INTEGER_DIGITS)",
+                start + 1,
+            )
         return int(self.text[start : self.pos])
 
     def parse_term(self) -> Word:

@@ -7,6 +7,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+from loctower.presentations import AbelianInvariants, Presentation, relation_matrix, smith_normal_form
 from loctower.roots import primitive_root
 from loctower.tower import validate_level_word
 from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
@@ -291,6 +292,19 @@ def oracle_smith_normal_form(matrix):
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
     return tuple(tuple(tuple(row) for row in m) for m in (a, u, v))
+
+
+def oracle_abelianization(p: Presentation) -> AbelianInvariants:
+    """Read the abelianization off the Smith diagonal: zeros and missing
+    pivots contribute free rank, entries >= 2 torsion, ones nothing."""
+    m = relation_matrix(p)
+    if not m:
+        return AbelianInvariants((), p.generator_count)
+    snf = smith_normal_form(m)
+    diagonal = snf.diagonal()
+    nonzero = [d for d in diagonal if d != 0]
+    torsion = tuple(d for d in nonzero if d >= 2)
+    return AbelianInvariants(torsion, p.generator_count - len(nonzero))
 
 
 def matrix_multiply(a, b):

@@ -431,6 +431,14 @@ class TestGlobalBehavior:
         code, _, err = invoke(capsys, "reduce", "x0")
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize("template", ["x{}", "x1^{}", "x2*x1^-{}"])
+    def test_overlong_integers_exit_two(self, capsys, template):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "reduce", template.format("1" * 5000))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "parse error" in err and "column" in err and "MAX_INTEGER_DIGITS" in err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["frobnicate"])

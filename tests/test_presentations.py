@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loctower.presentations import (
     AbelianInvariants,
+    _eliminate_units,
     Presentation,
     PresentationSyntaxError,
     abelianization,
@@ -21,9 +22,16 @@ from loctower.presentations import (
     triangle_group,
     triangle_is_finite,
 )
-from loctower.words import IDENTITY, Word, invert, multiply, power, word
+from loctower.words import IDENTITY, Word, commutator, invert, multiply, power, reduce, word
 
-from conftest import determinant, matrix_multiply, oracle_smith_normal_form, random_word
+from conftest import (
+    determinant,
+    matrix_multiply,
+    oracle_abelianization,
+    oracle_smith_normal_form,
+    random_word,
+    words_strategy,
+)
 
 
 def random_matrix(rng, max_dim=8, bound=20):
@@ -179,10 +187,17 @@ class TestAbelianization:
         assert is_perfect(p)
         assert format_abelian_invariants(inv) == "0"
 
+    def test_truncation_relators_are_the_commutator_construction(self):
+        for n in range(9):
+            assert tower_truncation(n).relators == tuple(
+                multiply(word(i), invert(commutator(word(2 * i), word(2 * i + 1))))
+                for i in range(1, 2**n)
+            )
+
     def test_tower_truncations_are_free(self):
-        for n in range(5):
+        for n in range(9):
             inv = abelianization(tower_truncation(n))
-            assert inv == AbelianInvariants((), 2**n)
+            assert inv == AbelianInvariants((), 2**n) == oracle_abelianization(tower_truncation(n))
             assert not is_perfect(tower_truncation(n))
 
     def test_invariant_under_relator_conjugation_and_inversion(self):
@@ -216,6 +231,147 @@ class TestAbelianization:
                 for j in range(p.generator_count)
             )
             assert is_perfect(p) == solvable_all
+
+
+def presentation_of(matrix) -> Presentation:
+    """One relator per row: the product of x_j^m[j] over the columns."""
+    return Presentation(
+        len(matrix[0]),
+        tuple(
+            reduce(l for j, e in enumerate(row, start=1) for l in [j if e > 0 else -j] * abs(e))
+            for row in matrix
+        ),
+    )
+
+
+def uniform_matrix(n, seed=1, bound=20):
+    """The dense n x n matrices of the SNF growth table in ROADMAP.md."""
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def random_unimodular(rng, n):
+    """A product of 2n elementary row operations, with the rows shuffled."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[j] = [x + c * y for x, y in zip(m[j], m[i])]
+    rng.shuffle(m)
+    return m
+
+
+def udv_matrix(rng, n, bound=300):
+    """U*D*V with U, V unimodular and D a divisibility chain, sometimes
+    ending in 0; redrawn until every entry is at most ``bound``."""
+    while True:
+        chain = [1]
+        for _ in range(n - 1):
+            chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+        if rng.random() < 0.5:
+            chain[-1] = 0
+        d = [[chain[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        m = matrix_multiply(matrix_multiply(random_unimodular(rng, n), d), random_unimodular(rng, n))
+        if max(abs(x) for row in m for x in row) <= bound:
+            return m
+
+
+@st.composite
+def presentations(draw):
+    """Rows with many units (which fill in when they share a column), plus
+    zero rows (commutators), general words, duplicates, or no relator."""
+    rank = draw(st.integers(1, 6))
+    entries = st.sampled_from((-3, -2, -1, -1, 0, 0, 0, 1, 1, 2, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), max_size=7))
+    relators = list(presentation_of(rows).relators) if rows else []
+    words = words_strategy(rank, 10)
+    relators += draw(st.lists(st.builds(commutator, words, words), max_size=2))
+    relators += draw(st.lists(words, max_size=2))
+    if relators:
+        relators += draw(st.lists(st.sampled_from(relators), max_size=2))
+    return Presentation(rank, tuple(draw(st.permutations(relators))))
+
+
+class TestAbelianizationMatchesOracle:
+    """The sparse unit elimination against the Smith diagonal of the whole
+    relation matrix."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(presentations())
+    def test_random_presentations(self, p):
+        assert abelianization(p) == oracle_abelianization(p)
+
+    def test_unit_zero_and_duplicate_rows(self):
+        cases = [
+            Presentation(3, ()),
+            Presentation(2, (word(1, 2, -1, -2),)),
+            Presentation(2, (word(1), word(1), word(1, 1))),
+            Presentation(3, (word(1, 2), word(2, 3), word(1, 3))),
+            Presentation(3, (word(1, 2, 2), word(2, 3, 3, 3), word(1, 1, 3))),
+        ]
+        for p in cases:
+            assert abelianization(p) == oracle_abelianization(p)
+
+    def test_triangle_groups(self):
+        for params in ((3, 8, 2), (2, 3, 5), (-4, 6, 9), (12, -18, 30), (1, 1, 1), (40, 40, -40)):
+            p = triangle_group(*params)
+            assert abelianization(p) == oracle_abelianization(p)
+
+    def test_dense_udv_presentations(self):
+        """Square U*D*V relation matrices, D a divisibility chain, as in the
+        benchmark's dense abelian queries."""
+        rng = random.Random(17)
+        for n in (3, 4, 5, 6, 7) * 4:
+            p = presentation_of(udv_matrix(rng, n))
+            assert abelianization(p) == oracle_abelianization(p)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_roadmap_dense_matrices(self, n):
+        p = presentation_of(uniform_matrix(n))
+        assert abelianization(p) == oracle_abelianization(p)
+
+
+def smith_unit_phase(matrix):
+    """The block that smith_normal_form's unit pivots leave, and their
+    number: the first +-1 in row-major order is swapped to (t, t) and its
+    column cleared by row operations, until the block holds no unit."""
+    a = [list(row) for row in matrix]
+    t = 0
+    while True:
+        pivot = next(
+            ((i, j) for i in range(t, len(a)) for j in range(t, len(a[0])) if abs(a[i][j]) == 1),
+            None,
+        )
+        if pivot is None:
+            return [row[t:] for row in a[t:]], t
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        for k in range(len(a)):
+            if k != t and a[k][t]:
+                f = a[k][t] * a[t][t]
+                a[k] = [x - f * y for x, y in zip(a[k], a[t])]
+        t += 1
+
+
+def without_zero_lines(matrix):
+    rows = [row for row in matrix if any(row)]
+    cols = [j for j in range(len(rows[0])) if any(row[j] for row in rows)] if rows else []
+    return [[row[j] for j in cols] for row in rows]
+
+
+def test_unit_elimination_follows_smith_pivot_order():
+    """Without its zero rows and columns, a matrix reaches the Smith
+    reduction exactly as the reduction's own unit pivots would leave it."""
+    rng = random.Random(23)
+    for _ in range(300):
+        m = without_zero_lines(random_matrix(rng, bound=rng.choice((2, 3, 20))))
+        if not m:
+            continue
+        block, units = smith_unit_phase(m)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        assert _eliminate_units(rows) == (without_zero_lines(block), units)
 
 
 def _row_space_contains_unit(snf, j, n):

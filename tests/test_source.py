@@ -1,13 +1,20 @@
 """No dead or test-only code in the package: every top-level function or
 class is named somewhere in ``src/loctower`` outside its own definition, or
-is exported by ``__init__``.  Helpers only the tests need live in
-``tests/conftest.py``."""
+is exported by ``__init__``, and every module-level import is used.  Helpers
+only the tests need live in ``tests/conftest.py``.  Re-importing the package
+releases the old copy."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import loctower
+
+PACKAGE = Path(loctower.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
 
 
 def _referenced(node) -> Counter:
@@ -22,21 +29,64 @@ def _referenced(node) -> Counter:
 
 
 def test_every_definition_is_used_or_exported():
-    package = Path(loctower.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     exported = {
         alias.name
-        for node in trees["__init__"].body
+        for node in TREES["__init__"].body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    everywhere = sum(map(_referenced, trees.values()), Counter())
+    everywhere = sum(map(_referenced, TREES.values()), Counter())
     unused = [
         f"{module}.{node.name}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name not in exported
         and everywhere[node.name] == _referenced(node)[node.name]
     ]
     assert unused == []
+
+
+def test_every_import_is_used():
+    """``__init__`` imports in order to export, and ``__future__`` imports
+    set compiler flags; every other module-level import must be read."""
+    unused = []
+    for module, tree in TREES.items():
+        if module == "__init__":
+            continue
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def test_reimport_releases_the_old_classes():
+    """Nothing global (such as typing's cache of ``Union`` aliases) may
+    hold on to a class of a copy of the package that was dropped."""
+    script = """
+import gc, sys, weakref
+import loctower
+old = weakref.ref(loctower.Word)
+for name in [m for m in sys.modules if m == "loctower" or m.startswith("loctower.")]:
+    del sys.modules[name]
+del loctower
+import loctower
+gc.collect()
+assert loctower.Word is not None
+print("released" if old() is None else "alive")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "released"

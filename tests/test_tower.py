@@ -24,6 +24,7 @@ from loctower.tower import (
     phi_preimage,
     promote,
     root_transfer,
+    validate_level_word,
 )
 from loctower.words import (
     IDENTITY,
@@ -192,6 +193,29 @@ class TestNormalizePromote:
             phi(1, word(2, 4))
         assert time.perf_counter() - start < 1.0
         assert normalize(10**4, word(2**10**4)) == TowerElement(10**4, word(2**10**4))
+
+    def test_mixed_levels_name_the_first_offender_in_word_order(self):
+        cases = [
+            (2, word(4, 8, 2), "x8", 3),
+            (2, word(4, 2, 8), "x2", 1),
+            (2, word(5, -9, 7, -3), "x9", 3),
+            (1, word(-3, 1, 2, 9), "x1", 0),
+        ]
+        for n, w, name, level in cases:
+            message = f"generator {name} is not valid at level {n} (it is a level-{level} generator)"
+            with pytest.raises(ValueError) as info:
+                validate_level_word(n, w)
+            assert str(info.value) == message
+        rng = random.Random(808)
+        for _ in range(200):
+            n = rng.randint(0, 4)
+            w = random_word(rng, 12, range(1, 2 ** (n + 2)))
+            bad = [abs(l) for l in w.letters if abs(l).bit_length() != n + 1]
+            if not bad:
+                validate_level_word(n, w)
+                continue
+            with pytest.raises(ValueError, match=rf"^generator x{bad[0]} is not valid at level {n} \("):
+                validate_level_word(n, w)
 
     def test_normalize_after_promote_is_identity(self):
         rng = random.Random(14)

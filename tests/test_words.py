@@ -1,17 +1,21 @@
 """Word arithmetic: oracle comparisons, group axioms, parser round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loctower.words import (
     IDENTITY,
+    MAX_INTEGER_DIGITS,
     Word,
     WordSyntaxError,
     commutator,
     cyclic_reduce,
     format_word,
     invert,
+    max_index,
     multiply,
     parse_word,
     power,
@@ -180,6 +184,24 @@ class TestTextSyntax:
         w = reduce(l for l, n in runs for _ in range(n))
         assert format_word(w, symbol=symbol) == oracle_format_word(w, symbol=symbol)
 
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32), st.integers(0, 5), st.sampled_from(["x", "y"]))
+    def test_format_long_words_matches_oracle(self, seed, trailing, symbol):
+        """Long words with no repeated letter take the join-at-once path;
+        one trailing run takes the run-rewriting path."""
+        rng = random.Random(seed)
+        letters = [rng.randint(1, 40)]
+        while len(letters) < 4000:
+            l = rng.choice((-1, 1)) * rng.randint(1, 40)
+            if l != letters[-1] and l != -letters[-1]:
+                letters.append(l)
+        no_repeats = Word(tuple(letters))
+        with_run = Word(no_repeats.letters + no_repeats.letters[-1:] * trailing)
+        for u in (no_repeats, with_run):
+            assert format_word(u, symbol=symbol) == oracle_format_word(u, symbol=symbol)
+            assert max_index(u) == max(abs(l) for l in u.letters)
+            assert support(u) == frozenset(abs(l) for l in u.letters)
+
     @given(words_strategy(rank=12, max_len=20))
     def test_round_trip(self, w):
         assert parse_word(format_word(w)) == w
@@ -196,6 +218,14 @@ class TestTextSyntax:
     def test_rejects_malformed(self, text):
         with pytest.raises(WordSyntaxError):
             parse_word(text)
+
+    def test_overlong_integers_are_refused_before_conversion(self):
+        ones = "1" * (MAX_INTEGER_DIGITS + 1)
+        for text, column in ((f"x{ones}", 2), (f"x2*x1^{ones}", 7), (f"x1^-{ones}", 4)):
+            with pytest.raises(WordSyntaxError, match="MAX_INTEGER_DIGITS") as info:
+                parse_word(text)
+            assert info.value.column == column
+        assert parse_word("x" + "1" * MAX_INTEGER_DIGITS).letters == (int("1" * MAX_INTEGER_DIGITS),)
 
     def test_error_column_is_reported(self):
         with pytest.raises(WordSyntaxError) as info:
