@@ -6,17 +6,13 @@ from .adjunction import (
     AdjunctionGroup,
     AmalgamElement,
     NonPerfectReport,
-    PruferElement,
     TPower,
     adjoin_root,
     amalgam_identity,
     amalgam_invert,
     amalgam_multiply,
     amalgam_normalize,
-    prufer,
-    prufer_add,
     prufer_quotient_map,
-    prufer_zero,
     witness_nonperfect,
 )
 from .presentations import (

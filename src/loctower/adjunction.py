@@ -6,12 +6,17 @@ unique normal form: an alternating sequence of coset-representative
 syllables followed by a power of x.  Killing the base and sending t to
 1/p^d defines a surjection onto the p^d-torsion of the Prüfer group, the
 finite-stage shadow of the non-perfectness of the localized tower group.
+
+The Prüfer group Z(p^infinity) = Z[1/p]/Z is a set of rationals mod 1, so
+its elements are ``Fraction``s in [0, 1), in lowest terms; the order of
+an element is its denominator, a power of p.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .roots import is_prime, primitive_root
@@ -27,91 +32,6 @@ from .words import (
     power,
     validate_rank,
 )
-
-
-# ---------------------------------------------------------------------------
-# Prüfer group arithmetic
-
-
-@dataclass(frozen=True)
-class PruferElement:
-    """a / p^k mod 1 in canonical form: 0 <= a < p^k and p does not divide a
-    (a = 0 forces k = 0).  The element has order p^k."""
-
-    prime: int
-    numerator: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.exponent < 0 or self.numerator < 0:
-            raise ValueError("numerator and exponent must be nonnegative")
-        if self.numerator == 0:
-            if self.exponent != 0:
-                raise ValueError("zero must have exponent 0")
-        else:
-            if self.numerator >= self.prime**self.exponent:
-                raise ValueError("numerator out of range")
-            if self.numerator % self.prime == 0:
-                raise ValueError("numerator must be a p-unit")
-
-    @property
-    def order(self) -> int:
-        return self.prime**self.exponent
-
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return f"{self.numerator}/{self.prime**self.exponent}"
-
-
-def prufer(p: int, numerator: int, exponent: int) -> PruferElement:
-    """Canonicalize numerator/p^exponent mod 1."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    a = numerator % (p**exponent) if exponent else 0
-    while a and a % p == 0:
-        a //= p
-        exponent -= 1
-    if a == 0:
-        exponent = 0
-    return PruferElement(p, a, exponent)
-
-
-def prufer_zero(p: int) -> PruferElement:
-    return PruferElement(p, 0, 0)
-
-
-def prufer_add(a: PruferElement, b: PruferElement) -> PruferElement:
-    if a.prime != b.prime:
-        raise ValueError("mismatched primes")
-    p = a.prime
-    k = max(a.exponent, b.exponent)
-    num = a.numerator * p ** (k - a.exponent) + b.numerator * p ** (k - b.exponent)
-    return prufer(p, num, k)
-
-
-def parse_prufer(p: int, text: str) -> PruferElement:
-    """Parse ``a/p^k`` written as ``a/m`` with m a power of p, or ``0``."""
-    text = text.strip()
-    if text == "0":
-        return prufer_zero(p)
-    if "/" not in text:
-        raise ValueError(f"expected 'a/m' or '0', got {text!r}")
-    num_text, den_text = text.split("/", 1)
-    numerator = int(num_text)
-    denominator = int(den_text)
-    exponent = 0
-    while denominator > 1 and denominator % p == 0:
-        denominator //= p
-        exponent += 1
-    if denominator != 1:
-        raise ValueError(f"denominator must be a power of {p}")
-    return prufer(p, numerator, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +244,8 @@ def amalgam_invert(e: AmalgamElement) -> AmalgamElement:
 # the quotient onto p-power torsion
 
 
-def prufer_quotient_map(g: AdjunctionGroup, e: AmalgamElement) -> PruferElement:
-    """Homomorphism killing the base and sending t to 1/p^depth.
+def prufer_quotient_map(g: AdjunctionGroup, e: AmalgamElement) -> Fraction:
+    """Homomorphism killing the base and sending t to 1/p^depth mod 1.
 
     Well defined because t^(p^depth) = x maps to p^depth * 1/p^depth = 0,
     matching the image of x; surjective onto the p^depth-torsion subgroup.
@@ -333,7 +253,26 @@ def prufer_quotient_map(g: AdjunctionGroup, e: AmalgamElement) -> PruferElement:
     if e.group != g:
         raise ValueError("element does not belong to the given group")
     t_total = sum(s.exponent for s in e.syllables if isinstance(s, TPower))
-    return prufer(g.prime, t_total, g.depth)
+    return Fraction(t_total, g.relation_exponent) % 1
+
+
+def parse_prufer(p: int, text: str) -> Fraction:
+    """Parse ``a/m`` with m a power of the prime p, or ``0``, as a/m mod 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    text = text.strip()
+    if text == "0":
+        return Fraction(0)
+    if "/" not in text:
+        raise ValueError(f"expected 'a/m' or '0', got {text!r}")
+    num_text, den_text = text.split("/", 1)
+    numerator = int(num_text)
+    denominator = m = int(den_text)
+    while m > 1 and m % p == 0:
+        m //= p
+    if m != 1:
+        raise ValueError(f"denominator must be a power of {p}")
+    return Fraction(numerator, denominator) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +282,33 @@ def prufer_quotient_map(g: AdjunctionGroup, e: AmalgamElement) -> PruferElement:
 @dataclass(frozen=True)
 class NonPerfectReport:
     """Desk-scale witness that the localized tower group has a nontrivial
-    abelian quotient: the adjunction stage surjects onto Z/p^depth."""
+    abelian quotient: the adjunction stage surjects onto Z/p^depth.
+
+    ``group`` adjoins t to the distinguished word of tower level ``level``;
+    the images are those of the defining relator and of t in Z(p^infinity).
+    """
 
     level: int
-    prime: int
-    depth: int
-    base_rank: int
-    distinguished: Word
-    rootless: bool
-    relator_name: str
-    relator_image: PruferElement
-    t_image: PruferElement
-    quotient_order: int
+    group: AdjunctionGroup
+    relator_image: Fraction
+    t_image: Fraction
 
     def to_dict(self) -> dict:
+        g = self.group
         return {
             "level": self.level,
-            "prime": self.prime,
-            "depth": self.depth,
-            "base_rank": self.base_rank,
-            "distinguished": format_word(self.distinguished),
-            "rootless": self.rootless,
-            "relator": self.relator_name,
+            "prime": g.prime,
+            "depth": g.depth,
+            "base_rank": g.base_rank,
+            "distinguished": format_word(g.root_of),
+            # AdjunctionGroup refuses a root_of that is a proper power, and
+            # in a free group that means it has no p-th root for any p
+            "rootless": True,
+            "relator": f"t^{g.relation_exponent}*x^-1",
             "relator_image": str(self.relator_image),
             "t_image": str(self.t_image),
-            "t_order": self.t_image.order,
-            "quotient": f"Z/{self.quotient_order}",
+            "t_order": self.t_image.denominator,
+            "quotient": f"Z/{g.relation_exponent}",
         }
 
 
@@ -403,13 +343,7 @@ def witness_nonperfect(
     t = amalgam_normalize(group, (TPower(1),))
     return NonPerfectReport(
         level=n,
-        prime=p,
-        depth=d,
-        base_rank=group.base_rank,
-        distinguished=distinguished,
-        rootless=True,
-        relator_name=f"t^{group.relation_exponent}*x^-1",
+        group=group,
         relator_image=prufer_quotient_map(group, relator),
         t_image=prufer_quotient_map(group, t),
-        quotient_order=group.relation_exponent,
     )

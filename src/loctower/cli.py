@@ -18,10 +18,6 @@ from . import adjunction, presentations, roots, stallings, tower, words
 from .words import format_word, parse_word
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _read_word(text: str, limit: int) -> words.Word:
     w = parse_word(text)
     if len(w) > limit:
@@ -116,7 +112,7 @@ def _cmd_abelianize(args) -> dict:
             "finite": presentations.triangle_is_finite(l, m, n),
         }
     if args.file is None:
-        raise DomainError("provide a presentation file or --triangle l m n")
+        raise ValueError("provide a presentation file or --triangle l m n")
     with open(args.file, "r", encoding="utf-8") as handle:
         pres = presentations.parse_presentation(handle.read())
     inv = presentations.abelianization(pres)
@@ -193,8 +189,8 @@ def _cmd_witness(args) -> dict:
 def _cmd_prufer(args) -> dict:
     a = adjunction.parse_prufer(args.prime, args.a)
     b = adjunction.parse_prufer(args.prime, args.b)
-    total = adjunction.prufer_add(a, b)
-    return {"sum": str(total), "order": total.order}
+    total = (a + b) % 1
+    return {"sum": str(total), "order": total.denominator}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -229,6 +229,16 @@ def oracle_coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     return Word(best[1]), -best_k
 
 
+def oracle_prufer_text(p: int, a: int, k: int) -> str:
+    """a/p^k mod 1 written ``a/p^k`` in lowest terms, or ``0``, by dividing
+    factors of p out of the numerator one at a time."""
+    a = a % (p**k) if k else 0
+    while a and a % p == 0:
+        a //= p
+        k -= 1
+    return f"{a}/{p**k}" if a else "0"
+
+
 def oracle_smith_normal_form(matrix):
     """(d, u, v) by the Smith reduction with a full pivot search and a full
     divisibility scan at every step.  The library takes the same steps but

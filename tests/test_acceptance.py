@@ -6,12 +6,12 @@ see them); a failure of any assertion fails the corresponding criterion.
 
 import random
 import time
+from fractions import Fraction
 
 from loctower.adjunction import (
     AdjunctionGroup,
     TPower,
     amalgam_normalize,
-    prufer,
     witness_nonperfect,
 )
 from loctower.presentations import (
@@ -183,11 +183,12 @@ def test_criterion_6_nonperfect_witnesses():
     start = time.monotonic()
     for p, d in ((2, 1), (2, 2), (3, 1), (3, 2)):
         report = witness_nonperfect(2, p, d)
-        assert report.rootless
-        assert report.relator_image.is_zero()
-        assert report.t_image == prufer(p, 1, d)
-        assert report.t_image.order == p**d
-        assert report.quotient_order == p**d
+        assert primitive_root(report.group.root_of).exponent == 1
+        assert kth_root(report.group.root_of, p) is None
+        assert report.relator_image == 0
+        assert report.t_image == Fraction(1, p**d)
+        assert report.t_image.denominator == p**d
+        assert report.to_dict()["quotient"] == f"Z/{p**d}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _report(

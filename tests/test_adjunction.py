@@ -3,6 +3,7 @@ non-perfectness witness pipeline."""
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from loctower.adjunction import (
     MAX_RELATION_BITS,
     AdjunctionGroup,
     AmalgamElement,
-    PruferElement,
     TPower,
     _coset_rep,
     adjoin_root,
@@ -21,13 +21,10 @@ from loctower.adjunction import (
     amalgam_multiply,
     amalgam_normalize,
     parse_prufer,
-    prufer,
-    prufer_add,
     prufer_quotient_map,
-    prufer_zero,
     witness_nonperfect,
 )
-from loctower.roots import MILLER_RABIN_BOUND, is_prime, primitive_root
+from loctower.roots import MILLER_RABIN_BOUND, is_prime, kth_root, primitive_root
 from loctower.words import (
     IDENTITY,
     IdentityWordError,
@@ -71,7 +68,7 @@ class TestPrimality:
         with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
             is_prime(2**89 - 1)
         with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
-            PruferElement(2**89 - 1, 1, 1)
+            parse_prufer(2**89 - 1, "0")
 
 
 class TestCosetRep:
@@ -124,58 +121,48 @@ class TestPowerOf:
 
 
 class TestPrufer:
+    """Prüfer elements are Fractions in [0, 1) whose denominator is the order."""
+
     def test_canonical_form(self):
-        assert prufer(2, 1, 2) == PruferElement(2, 1, 2)
-        assert prufer(2, 2, 2) == PruferElement(2, 1, 1)  # 2/4 = 1/2
-        assert prufer(2, 4, 2) == prufer_zero(2)
-        assert prufer(3, 10, 2) == PruferElement(3, 1, 2)  # 10/9 = 1/9 mod 1
-        assert prufer(5, -1, 1) == PruferElement(5, 4, 1)
+        assert parse_prufer(2, "1/4") == Fraction(1, 4)
+        assert parse_prufer(2, "2/4") == Fraction(1, 2)
+        assert parse_prufer(2, "4/4") == 0
+        assert parse_prufer(3, "10/9") == Fraction(1, 9)  # 10/9 = 1/9 mod 1
+        assert parse_prufer(5, "-1/5") == Fraction(4, 5)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            PruferElement(4, 1, 1)  # not prime
-        with pytest.raises(ValueError):
-            PruferElement(2, 2, 2)  # numerator not a unit
-        with pytest.raises(ValueError):
-            PruferElement(2, 0, 1)  # zero must have exponent 0
+        for p in (4, 1, 0, -3):
+            with pytest.raises(ValueError, match=f"{p} is not prime"):
+                parse_prufer(p, "1/4")
 
     def test_addition(self):
-        half = prufer(2, 1, 1)
-        quarter = prufer(2, 1, 2)
-        assert prufer_add(half, half) == prufer_zero(2)
-        assert prufer_add(quarter, quarter) == half
-        assert prufer_add(quarter, half) == prufer(2, 3, 2)
-
-    def test_mismatched_primes(self):
-        with pytest.raises(ValueError):
-            prufer_add(prufer(2, 1, 1), prufer(3, 1, 1))
+        half = parse_prufer(2, "1/2")
+        quarter = parse_prufer(2, "1/4")
+        assert (half + half) % 1 == 0
+        assert (quarter + quarter) % 1 == half
+        assert (quarter + half) % 1 == Fraction(3, 4)
 
     def test_group_axioms(self):
         rng = random.Random(41)
-        elems = [prufer(3, rng.randrange(27), 3) for _ in range(30)]
-        zero = prufer_zero(3)
+        elems = [parse_prufer(3, f"{rng.randrange(27)}/27") for _ in range(30)]
         for a in elems:
-            assert prufer_add(a, zero) == a
-            assert prufer_add(a, prufer(3, -a.numerator, a.exponent)) == zero
-        for a, b in zip(elems, elems[1:]):
-            assert prufer_add(a, b) == prufer_add(b, a)
+            assert 0 <= a < 1 and 27 % a.denominator == 0
+            assert (a + 0) % 1 == a
+            assert (a + parse_prufer(3, f"{-a.numerator}/{a.denominator}")) % 1 == 0
 
     def test_order_and_scale(self):
-        a = prufer(5, 2, 3)
-        assert a.order == 125
-        assert prufer(5, 125 * a.numerator, a.exponent) == prufer_zero(5)
-        assert prufer(5, 25 * a.numerator, a.exponent) != prufer_zero(5)
+        a = parse_prufer(5, "2/125")
+        assert a.denominator == 125
+        assert 125 * a % 1 == 0
+        assert 25 * a % 1 != 0
 
     def test_parse_and_str(self):
-        assert parse_prufer(2, "1/4") == prufer(2, 1, 2)
-        assert parse_prufer(2, "0") == prufer_zero(2)
-        assert parse_prufer(3, "5/9") == prufer(3, 5, 2)
-        assert str(prufer(2, 3, 2)) == "3/4"
-        assert str(prufer_zero(7)) == "0"
-        with pytest.raises(ValueError):
-            parse_prufer(2, "1/6")
-        with pytest.raises(ValueError):
-            parse_prufer(2, "x")
+        assert str(parse_prufer(2, "3/4")) == "3/4"
+        assert str(parse_prufer(7, "0")) == "0"
+        assert str(parse_prufer(7, "49/49")) == "0"
+        for text in ("1/6", "x", "1.5", "1/0", "1/-4"):
+            with pytest.raises(ValueError):
+                parse_prufer(2, text)
 
 
 def group_t2_x1():
@@ -369,30 +356,26 @@ class TestPruferQuotient:
         for _ in range(60):
             a = amalgam_normalize(g, random_expression(rng, g))
             b = amalgam_normalize(g, random_expression(rng, g))
-            assert prufer_quotient_map(g, amalgam_multiply(a, b)) == prufer_add(
-                prufer_quotient_map(g, a), prufer_quotient_map(g, b)
-            )
+            assert prufer_quotient_map(g, amalgam_multiply(a, b)) == (
+                prufer_quotient_map(g, a) + prufer_quotient_map(g, b)
+            ) % 1
 
     def test_base_dies_and_t_generates(self):
         g = AdjunctionGroup(2, word(1), 3, 2)
         base = amalgam_normalize(g, (word(1, 2, -1),))
-        assert prufer_quotient_map(g, base).is_zero()
+        assert prufer_quotient_map(g, base) == 0
         t = amalgam_normalize(g, (TPower(1),))
         image = prufer_quotient_map(g, t)
-        assert image == prufer(3, 1, 2)
-        assert image.order == 9
+        assert image == Fraction(1, 9)
+        assert image.denominator == 9
 
     def test_surjective_onto_torsion(self):
         g = AdjunctionGroup(1, word(1), 2, 3)
         images = {
-            str(
-                prufer_quotient_map(
-                    g, amalgam_normalize(g, (TPower(1),) * j)
-                )
-            )
+            prufer_quotient_map(g, amalgam_normalize(g, (TPower(1),) * j))
             for j in range(8)
         }
-        assert len(images) == 8  # all of the 8-torsion subgroup
+        assert images == {Fraction(j, 8) for j in range(8)}  # the 8-torsion subgroup
 
     def test_wrong_group_rejected(self):
         g = group_t2_x1()
@@ -408,13 +391,14 @@ class TestWitness:
     )
     def test_reports(self, n, p, d):
         report = witness_nonperfect(n, p, d)
-        assert report.rootless
-        assert report.base_rank == 2**n
-        assert report.quotient_order == p**d
-        assert report.relator_image.is_zero()
-        assert report.t_image == prufer(p, 1, d)
-        assert report.t_image.order == p**d
-        assert len(report.distinguished) == 4**n
+        x = report.group.root_of
+        assert primitive_root(x).exponent == 1
+        assert kth_root(x, p) is None
+        assert report.group.base_rank == 2**n
+        assert report.relator_image == 0
+        assert report.t_image == Fraction(1, p**d)
+        assert report.t_image.denominator == p**d
+        assert len(x) == 4**n
         data = report.to_dict()
         assert data["quotient"] == f"Z/{p ** d}"
 

@@ -1,13 +1,27 @@
 """Command-line interface: output formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loctower
+from loctower.adjunction import parse_prufer
 from loctower.cli import run
 from loctower.words import parse_word, power, substitute, word
+
+from conftest import oracle_prufer_text
+
+SRC = Path(loctower.__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -420,13 +434,57 @@ class TestPrufer:
         code, out, _ = invoke(capsys, "prufer", "--prime", "2", "1/4", "1/4")
         assert code == 0
         assert out == "sum=1/2\norder=2\n"
+        assert invoke(capsys, "prufer", "--prime", "2", "1/2", "1/2") == (0, "sum=0\norder=1\n", "")
+        code, out, _ = invoke(capsys, "--json", "prufer", "--prime", "3", "1/3", "2/9")
+        assert code == 0 and out == '{"order": 9, "sum": "5/9"}\n'
 
     def test_bad_element(self, capsys):
         code, _, err = invoke(capsys, "prufer", "--prime", "2", "1/3", "0")
         assert code == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 101]), st.data())
+    def test_matches_canonicalization_oracle(self, p, data):
+        terms = []
+        for _ in range(2):
+            k = data.draw(st.integers(0, 6))
+            multiple = st.integers(-3, 3).map(lambda m: m * p**k)
+            terms.append((data.draw(st.one_of(st.integers(-10**4, 10**4), multiple)), k))
+        for a, k in terms:
+            x = parse_prufer(p, f"{a}/{p**k}")
+            assert str(x) == oracle_prufer_text(p, a, k)
+            assert parse_prufer(p, str(x)) == x
+        (a, k), (b, j) = terms
+        top = max(k, j)
+        expected = oracle_prufer_text(p, a * p ** (top - k) + b * p ** (top - j), top)
+        order = 1 if expected == "0" else int(expected.split("/")[1])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            # "--" lets argparse read a negative operand as a positional
+            code = run(["prufer", "--prime", str(p), "--", f"{a}/{p**k}", f"{b}/{p**j}"])
+        assert code == 0 and out.getvalue() == f"sum={expected}\norder={order}\n"
+
 
 class TestGlobalBehavior:
+    @pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+    def test_every_prime_option_refuses_non_primes(self, p):
+        commands = [
+            ("prufer", "--prime", p, "1/4", "0"),
+            ("adjoin", "--base-rank", "1", "--root-of", "x1", "--prime", p, "--depth", "1"),
+            ("witness", "--level", "1", "--prime", p, "--depth", "1"),
+            ("tower", "root", "x1", "--level", "0", "--prime", p, "--max-level", "2"),
+            ("tower", "root", "x1", "--level", "0", "--prime", p, "--max-level", "2", "--cross-check"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for command in commands:
+            # a subprocess with a timeout, so a hang fails instead of blocking
+            done = subprocess.run(
+                [sys.executable, "-m", "loctower.cli", *command],
+                env=env, capture_output=True, text=True, timeout=10,
+            )
+            assert done.returncode == 1 and done.stdout == "", command
+            assert "prime" in done.stderr and "Traceback" not in done.stderr, command
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = invoke(capsys, "reduce", "x0")
         assert code == 2 and "parse error" in err
