@@ -1,8 +1,10 @@
 """Finite presentations, Smith normal form, and abelianization.
 
-All matrix arithmetic is exact over Python's arbitrary-precision integers;
-intermediate entry blowup in the Smith reduction is real even for small
-matrices.
+One Smith reduction serves both: ``smith_normal_form`` reads u and v off the
+identity blocks of its working matrix, and ``abelianization`` reduces the
+non-unit remainder alone.  All matrix arithmetic is exact over Python's
+arbitrary-precision integers; intermediate entry blowup in the Smith
+reduction is real even for small matrices.
 """
 
 from __future__ import annotations
@@ -95,49 +97,30 @@ class SmithNormalForm:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
 
 
-def _identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(matrix) -> SmithNormalForm:
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def _diagonalize(a: list[list[int]], nr: int, nc: int) -> list[int]:
+    """Reduce the top-left nr x nc block of ``a`` to Smith form in place;
+    return its nonzero diagonal.  Row operations move whole rows among the
+    first nr, column operations whole columns among the first nc.
 
     Each step takes the first entry of least absolute value in the remaining
-    submatrix as pivot, clears its row and column, and, while some remaining
+    block as pivot, clears its row and column, and, while some remaining
     entry is not a multiple of the pivot, adds that row and repeats.  A unit
     pivot is taken as soon as it is seen, since no later entry is smaller,
     and it skips the divisibility scan, since every entry is a multiple of
-    +-1.  Relation matrices are mostly unit rows (those of tower_truncation
-    are unit vectors), so they reduce in O(rows * cols), not cubic time;
-    the result is the same as with full scans.
+    +-1.  Relation matrices are mostly unit rows, so they reduce in
+    O(rows * cols), not cubic time; the result is the same as with full
+    scans.
     """
-    a = [[int(x) for x in row] for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    for row in a:
-        if len(row) != nc:
-            raise ValueError("matrix rows must have equal length")
-    u = _identity_matrix(nr)
-    v = _identity_matrix(nc)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for row in a:
-            row[dst] += c * row[src]
-        for row in v:
             row[dst] += c * row[src]
 
     t = 0
@@ -151,8 +134,8 @@ def smith_normal_form(matrix) -> SmithNormalForm:
                 break
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
+        i = pivot[0]
+        a[t], a[i] = a[i], a[t]
         if pivot[1] != t:
             swap_cols(t, pivot[1])
         while True:
@@ -162,7 +145,7 @@ def smith_normal_form(matrix) -> SmithNormalForm:
                     continue
                 add_row(t, i, -(a[i][t] // a[t][t]))
                 if a[i][t]:
-                    swap_rows(t, i)
+                    a[t], a[i] = a[i], a[t]
                     dirty = True
             if dirty:
                 continue
@@ -177,22 +160,36 @@ def smith_normal_form(matrix) -> SmithNormalForm:
                 continue
             if abs(a[t][t]) == 1:
                 break
-            offender = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
-                    offender = i
-                    break
+            rest = range(t + 1, nr)
+            offender = next((i for i in rest if any(x % a[t][t] for x in a[i][t + 1 : nc])), None)
             if offender is None:
                 break
             add_row(offender, t, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
+    return [a[i][i] for i in range(t)]
+
+
+def smith_normal_form(matrix) -> SmithNormalForm:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    :func:`_diagonalize` reduces the working matrix ``[[m, I], [I, 0]]``
+    (its zero corner left out, since no operation reaches it); the same
+    operations turn the identity blocks into ``u`` and ``v``.
+    """
+    m = [[int(x) for x in row] for row in matrix]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    if any(len(row) != nc for row in m):
+        raise ValueError("matrix rows must have equal length")
+    a = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)]
+    a += [[int(j == k) for k in range(nc)] for j in range(nc)]
+    _diagonalize(a, nr, nc)
     return SmithNormalForm(
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
+        tuple(tuple(row[:nc]) for row in a[:nr]),
+        tuple(tuple(row[nc:]) for row in a[:nr]),
+        tuple(tuple(row) for row in a[nr:]),
     )
 
 
@@ -258,7 +255,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     nothing."""
     rows = [row for row in map(_exponent_row, p.relators) if row]
     remainder, units = _eliminate_units(rows)
-    nonzero = [d for d in smith_normal_form(remainder).diagonal() if d] if remainder else []
+    nonzero = _diagonalize(remainder, len(remainder), len(remainder[0])) if remainder else []
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianInvariants(torsion, p.generator_count - units - len(nonzero))
 

@@ -194,5 +194,6 @@ def express(g: SubgroupGraph, w: Word) -> Word | None:
     if v != 0:
         return None
     result = Word(tuple(out))
-    assert substitute(result, g.generating_words) == w
+    if substitute(result, g.generating_words) != w:
+        raise AssertionError("stallings: the witness does not expand to the word")
     return result

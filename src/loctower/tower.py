@@ -107,7 +107,8 @@ def root_transfer(n: int, w: Word, k: int) -> Word | None:
     if image_root is None:
         return None
     v = kth_root(w, k)
-    assert v is not None and phi(n, v) == image_root
+    if v is None or phi(n, v) != image_root:
+        raise AssertionError("tower: the k-th root of w does not map onto the image's root")
     return v
 
 
@@ -253,7 +254,8 @@ def has_p_root_in_H(
     checked = tuple(range(e.level, max_level + 1))
     if witness is not None:
         # a root at any level is a root at every higher level
-        assert found_levels == list(range(found_levels[0], max_level + 1))
+        if found_levels != list(range(found_levels[0], max_level + 1)):
+            raise AssertionError("tower: a p-th root found at one level is missing at a higher one")
         return RootCertificate(ROOT_FOUND, p, "cross-check", e.level, checked, witness)
     return RootCertificate(NO_ROOT_PROVEN, p, "cross-check", e.level, checked, None)
 

@@ -144,6 +144,25 @@ def oracle_primitive_root(letters) -> tuple[tuple, int]:
     return best
 
 
+def enumerated_primitive_roots(max_len: int, rank: int) -> dict[tuple, tuple[tuple, int]]:
+    """Primitive root and exponent of every proper power of length <= max_len.
+
+    Raises every reduced r with |r| <= max_len to each k >= 2 while
+    |r^k| <= max_len (|r^k| grows strictly with k) and keeps the largest k
+    per power.  A root is never longer than its power, so every root is
+    enumerated; a word missing from the result is its own root with
+    exponent 1.
+    """
+    roots: dict[tuple, tuple[tuple, int]] = {}
+    for r in iter_reduced_tuples(max_len, rank):
+        acc, k = concat_reduce(r, r), 2
+        while len(acc) <= max_len:
+            if roots.get(acc, ((), 0))[1] < k:
+                roots[acc] = (r, k)
+            acc, k = concat_reduce(acc, r), k + 1
+    return roots
+
+
 def oracle_power(w: Word, k: int) -> Word:
     """``w**k`` from the cyclic reduction, inverting the whole result for
     k < 0 (the library's earlier four-Word version)."""

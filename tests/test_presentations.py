@@ -1,6 +1,7 @@
 """Presentations, Smith normal form, and abelian invariants."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,7 @@ class TestSmithNormalForm:
     def test_matches_full_scan_reference(self):
         rng = random.Random(1993)
         matrices = [relation_matrix(tower_truncation(n)) for n in range(1, 6)]
+        matrices += [(), ((), ()), ((0, 0, 0),), ((0,), (0,)), ((0, 0), (0, 0))]
         for _ in range(300):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             values = rng.choice(((-1, 1), (-1, 0, 1), (-2, -1, 0, 1, 2), tuple(range(-9, 10))))
@@ -325,10 +327,16 @@ class TestAbelianizationMatchesOracle:
             p = presentation_of(udv_matrix(rng, n))
             assert abelianization(p) == oracle_abelianization(p)
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [8, 10, 11])
     def test_roadmap_dense_matrices(self, n):
+        """The full Smith reduction with transforms takes about 10 s at
+        n = 11, so that answer is pinned; abelianization must take under 5 s."""
         p = presentation_of(uniform_matrix(n))
-        assert abelianization(p) == oracle_abelianization(p)
+        start = time.perf_counter()
+        inv = abelianization(p)
+        assert time.perf_counter() - start < 5
+        pinned = AbelianInvariants((2, 2571045180688324), 0)
+        assert inv == (pinned if n == 11 else oracle_abelianization(p))
 
 
 def smith_unit_phase(matrix):

@@ -20,6 +20,7 @@ from loctower.words import (
 )
 
 from conftest import (
+    enumerated_primitive_roots,
     iter_reduced_tuples,
     nonempty_words_strategy,
     oracle_primitive_root,
@@ -67,6 +68,13 @@ class TestPrimitiveRoot:
             dec = primitive_root(w)
             root, exponent = oracle_primitive_root(letters)
             assert (dec.root.letters, dec.exponent) == (root, exponent), w
+
+    def test_enumerated_reference_matches_oracle(self):
+        """The enumerated powers that criterion 7 checks against agree with
+        the candidate scan on every word of length <= 6 over 3 letters."""
+        roots = enumerated_primitive_roots(6, 3)
+        for letters in iter_reduced_tuples(6, 3):
+            assert roots.get(letters, (letters, 1)) == oracle_primitive_root(letters), letters
 
     @given(nonempty_words_strategy())
     def test_decomposition_and_primitivity(self, w):

@@ -66,6 +66,18 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_no_assert_statements():
+    """``python -O`` strips ``assert``; the package's self-checks raise
+    ``AssertionError`` explicitly instead, so they hold in every mode."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_reimport_releases_the_old_classes():
     """Nothing global (such as typing's cache of ``Union`` aliases) may
     hold on to a class of a copy of the package that was dropped."""

@@ -1,13 +1,19 @@
 """Folded subgroup graphs: membership vs brute force, fold confluence,
 expression round trips, and Euler-characteristic rank."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loctower
 from loctower.stallings import (
+    SubgroupGraph,
     build_graph,
     contains,
     express,
@@ -207,6 +213,32 @@ class TestExpress:
         witness = express(g, word(1))
         assert witness is not None
         assert substitute(witness, gens) == word(1)
+
+    def test_corrupt_witness_is_refused_under_optimization(self):
+        """The expansion check is an explicit raise, so ``python -O`` keeps
+        it: a loop at x1 whose witness claims y1^2 for the generator x1 must
+        not express x1."""
+        script = """
+from loctower.stallings import SubgroupGraph, express
+from loctower.words import Word
+g = SubgroupGraph((Word((1,)),), 1, ((0, 0, 1),), (Word((1, 1)),))
+try:
+    print("unchecked", express(g, Word((1,))))
+except AssertionError as exc:
+    print(exc)
+"""
+        graph = SubgroupGraph((word(1),), 1, ((0, 0, 1),), (word(1, 1),))
+        with pytest.raises(AssertionError, match="stallings"):
+            express(graph, word(1))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(loctower.__file__).parent.parent)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("stallings: "), done.stdout
 
 
 class TestRank:
