@@ -20,10 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .roots import is_prime, primitive_root
-from .tower import TowerElement, promote
+from .tower import TowerElement, _check_promotion, _expand
 from .words import (
     IdentityWordError,
     Word,
+    _cancellation,
     _conjugator_length,
     _reduced,
     format_word,
@@ -167,7 +168,7 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     strictly, then rises strictly.  So with k0 = max(0, (C - |c|) // |u|)
     every shortest w x^k with k > 0 has k in {k0, k0 + 1}, and the minimum
     over all k is among the at most 5 candidates 0, +-k0, +-(k0 + 1).  C is
-    read off one product w x^(+-K) with K|u| > |w|, which cancels all C
+    counted against one power x^(+-K) with K|u| > |w|, which cancels all C
     letters.  The cost is O(|w| + |x|).  For w = x^e the candidate -e gives
     the empty representative, so (IDENTITY, e) says that w is a power of x.
     """
@@ -178,8 +179,7 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     reach = len(w) // u + 2
     candidates = {0}
     for s in (1, -1):
-        far = power(x, s * reach)
-        cancelled = (len(w) + len(far) - len(multiply(w, far))) // 2
+        cancelled = _cancellation(w.letters, power(x, s * reach).letters)
         k0 = max(0, (cancelled - c) // u)
         candidates.update((s * k0, s * (k0 + 1)))
     reps = {k: multiply(w, power(x, k)) for k in candidates}
@@ -312,32 +312,26 @@ class NonPerfectReport:
         }
 
 
-def _relabel_to_base(w: Word, level: int) -> Word:
-    """Shift the level-n indices 2^n..2^(n+1)-1 down to 1..2^n."""
-    offset = 2**level - 1
-    shift = {l: l - offset if l > 0 else l + offset for l in set(w.letters)}
-    # a sign-preserving shift of level-n indices to positive ones keeps w reduced
-    return _reduced(tuple(map(shift.__getitem__, w.letters)))
-
-
-def witness_nonperfect(
-    n: int, p: int, d: int, max_length: int | None = None
-) -> NonPerfectReport:
+def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) -> NonPerfectReport:
     """Adjoin a depth-d p-root to the rootless distinguished element of the
     level-n tower truncation and verify the surjection onto Z/p^d.
 
-    The distinguished word has 4^n letters; ``max_length`` bounds it as in
+    The distinguished word, x1 promoted to level n, is expanded in the base
+    labels 1..2^n.  It has 4^n letters; ``max_length`` bounds it as in
     :func:`promote`.  Building the group checks that the word is primitive,
     which in a free group means it has no p-th root for any p.
     """
     _check_relation(p, d)
-    top = promote(TowerElement(0, Word((1,))), n, max_length)
-    distinguished = _relabel_to_base(top.word, n)
-    group = AdjunctionGroup(2**n, distinguished, p, d)
+    if n:  # promote's refusals, which level 0 skips
+        _check_promotion(TowerElement(0, Word((1,))), n, max_length)
+    letters = (1,)
+    for _ in range(n):
+        letters = _expand(letters, 1)
+    # x1 is reduced, and each expansion keeps a word reduced
+    x = _reduced(letters)
+    group = AdjunctionGroup(2**n, x, p, d)
     # the defining relator t^(p^d) * x^-1 must be trivial in the amalgam
-    relator = amalgam_normalize(
-        group, (TPower(group.relation_exponent), invert(distinguished))
-    )
+    relator = amalgam_normalize(group, (TPower(group.relation_exponent), invert(x)))
     if not relator.is_identity():
         raise AssertionError("defining relation fails in the amalgam")
     t = amalgam_normalize(group, (TPower(1),))

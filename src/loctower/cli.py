@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -283,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("prufer", help="add two Prüfer-group elements")
+    # argparse takes "-1/3" for an option unless it matches this pattern
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("a", help="element written a/p^k, e.g. 1/4")
     p.add_argument("b")

@@ -41,13 +41,15 @@ def validate_level_word(n: int, w: Word) -> None:
     )
 
 
-def _expand(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Letters of phi: x_i -> (2i, 2i+1, -2i, -2i-1), x_i^-1 -> (2i+1, 2i,
-    -2i-1, -2i), through one table entry per distinct letter."""
+def _expand(letters: tuple[int, ...], shift: int = 0) -> tuple[int, ...]:
+    """Letters of phi, x_i -> (j, j+1, -j, -j-1) and x_i^-1 -> (j+1, j, -j-1,
+    -j) with j = 2i - shift, through one table entry per distinct letter.
+    ``shift=0`` is the doubling convention, ``shift=1`` the relabelled one
+    x_a -> [x_{2a-1}, x_{2a}] on base labels 1..2^n."""
     table = {}
     for l in set(letters):
-        i = abs(l)
-        block = (2 * i, 2 * i + 1, -2 * i, -2 * i - 1)
+        i = 2 * abs(l) - shift
+        block = (i, i + 1, -i, -i - 1)
         table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
     return tuple(chain.from_iterable(map(table.__getitem__, letters)))
 
@@ -147,11 +149,13 @@ def normalize(level: int, w: Word) -> TowerElement:
 
 
 def _check_promotion(e: TowerElement, target: int, max_length: int | None) -> None:
-    """Refuse when promoting ``e`` to ``target`` gives more than
-    ``max_length`` letters, the identity counting as one.  Each level
-    multiplies the length by 4, so 4^k * m is compared by bit length first
-    and a huge k costs nothing."""
+    """Refuse a ``target`` below ``e``'s level, and a promotion to ``target``
+    that gives more than ``max_length`` letters, the identity counting as
+    one.  Each level multiplies the length by 4, so 4^k * m is compared by
+    bit length first and a huge k costs nothing."""
     k, m = target - e.level, max(len(e.word), 1)
+    if k < 0:
+        raise ValueError(f"target level {target} is below current level {e.level}")
     if max_length is not None and (2 * k > max_length.bit_length() or m << 2 * k > max_length):
         raise LengthLimitError(
             f"promotion from level {e.level} to {target} would give 4^{k}*{m} letters "
@@ -165,8 +169,6 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     The result is generally not in canonical form (that is the point).
     ``max_length`` is checked once, before anything is built.
     """
-    if target < e.level:
-        raise ValueError(f"target level {target} is below current level {e.level}")
     if target == e.level:
         return TowerElement(target, e.word)
     validate_level_word(e.level, e.word)

@@ -14,9 +14,10 @@ instead of checking it again.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress
-from operator import eq, neg
+from operator import add, eq, neg
 from typing import Iterable, Sequence
 
 
@@ -98,17 +99,34 @@ def reduce(raw: Iterable[int]) -> Word:
     return Word(tuple(stack))
 
 
+def _cancellation(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """The number k of letters that cancel where reduced ``x`` meets reduced
+    ``y``.  A block of facing letters cancels when all its pairwise sums are
+    0, which ``any`` checks in C without creating an int.  The block doubles
+    while it cancels, then halves, so k costs O(log k) Python steps."""
+    n, m = len(x), min(len(x), len(y))
+    k, s = 0, 1
+    while k + s <= m and not any(map(add, reversed(x[n - k - s : n - k]), y[k : k + s])):
+        k += s
+        s *= 2
+    while s > 1:
+        s //= 2
+        if k + s <= m and not any(map(add, reversed(x[n - k - s : n - k]), y[k : k + s])):
+            k += s
+    return k
+
+
 def multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; associative with identity ``IDENTITY``.
 
-    Both factors are reduced, so letters cancel only at the join.
+    Both factors are reduced, so letters cancel only at the join; past one
+    comparison of its facing pair, :func:`_cancellation` counts them.
     """
     x, y = a.letters, b.letters
-    n, m = len(x), min(len(x), len(y))
-    k = 0
-    while k < m and x[n - 1 - k] == -y[k]:
-        k += 1
-    return Word(x[: n - k] + y[k:])
+    if x and y and x[-1] == -y[0]:
+        k = _cancellation(x, y)
+        return Word(x[: len(x) - k] + y[k:])
+    return Word(x + y)
 
 
 def invert(w: Word) -> Word:
@@ -131,6 +149,8 @@ def power(w: Word, k: int) -> Word:
     if k < 0:
         letters, k = tuple(map(neg, reversed(letters))), -k
     i, n = _conjugator_length(letters), len(letters)
+    if (length := n + (k - 1) * (n - 2 * i)) > sys.maxsize:
+        raise ValueError(f"power of {length} letters exceeds sys.maxsize = {sys.maxsize}")
     # u = letters[i:n-i] is cyclically reduced, so no join of c u^k c^-1
     # cancels: c|u and u|c^-1 are joins of the reduced input, u|u is not
     # x x^-1 because i is maximal
@@ -222,6 +242,8 @@ def format_word(w: Word, symbol: str = "x") -> str:
 
 # Python refuses int() on strings of more than 4,300 digits by default
 MAX_INTEGER_DIGITS = 4000
+# ASCII digits only (str.isdigit admits '²'); a set, since '' is in every str
+_DIGITS = frozenset("0123456789")
 
 
 class _WordParser:
@@ -243,10 +265,10 @@ class _WordParser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if self.peek() not in _DIGITS:
             self.fail("expected an integer")
         first_digit = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if self.pos - first_digit > MAX_INTEGER_DIGITS:
             raise WordSyntaxError(
@@ -260,12 +282,12 @@ class _WordParser:
         c = self.peek()
         if c == "1":
             self.pos += 1
-            if self.peek().isdigit():
+            if self.peek() in _DIGITS:
                 self.fail("generator syntax is x<index>")
             base = IDENTITY
         elif c == "x":
             self.pos += 1
-            if not self.peek().isdigit():
+            if self.peek() not in _DIGITS:
                 self.fail("expected generator index after 'x'")
             index = self.parse_integer()
             if index < 1:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from loctower.presentations import AbelianInvariants, Presentation, relation_matrix, smith_normal_form
 from loctower.roots import primitive_root
-from loctower.tower import validate_level_word
+from loctower.tower import TowerElement, promote, validate_level_word
 from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
 
 
@@ -213,6 +213,14 @@ def oracle_phi_preimage(n: int, u: Word) -> Word | None:
         else:
             return None
     return Word(tuple(out))
+
+
+def oracle_distinguished_word(n: int) -> Word:
+    """x1 promoted to level n by the doubling convention, then every index
+    shifted down by 2^n - 1 onto the base labels 1..2^n."""
+    offset = 2**n - 1
+    top = promote(TowerElement(0, Word((1,))), n).word
+    return Word(tuple(l - offset if l > 0 else l + offset for l in top.letters))
 
 
 def oracle_power_of(x: Word, a: Word) -> int | None:

@@ -13,6 +13,7 @@ from loctower.adjunction import (
     MAX_RELATION_BITS,
     AdjunctionGroup,
     AmalgamElement,
+    NonPerfectReport,
     TPower,
     _coset_rep,
     adjoin_root,
@@ -40,6 +41,7 @@ from conftest import (
     letter_strategy,
     nonempty_words_strategy,
     oracle_coset_rep,
+    oracle_distinguished_word,
     oracle_power_of,
     random_word,
     words_strategy,
@@ -402,10 +404,26 @@ class TestWitness:
         data = report.to_dict()
         assert data["quotient"] == f"Z/{p ** d}"
 
+    def test_reports_match_relabelled_promotion(self):
+        """Every report equals the one built from x1 promoted to level n and
+        then shifted onto base labels, for levels 0-7, p in {2, 3, 5} and
+        d in {1, 2, 3}."""
+        for n in range(8):
+            x = oracle_distinguished_word(n)
+            for p in (2, 3, 5):
+                for d in (1, 2, 3):
+                    group = AdjunctionGroup(2**n, x, p, d)
+                    relator = amalgam_normalize(group, (TPower(p**d), invert(x)))
+                    t = amalgam_normalize(group, (TPower(1),))
+                    expected = NonPerfectReport(
+                        n, group, prufer_quotient_map(group, relator), prufer_quotient_map(group, t)
+                    )
+                    assert witness_nonperfect(n, p, d).to_dict() == expected.to_dict()
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             witness_nonperfect(0, 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target level -1 is below current level 0"):
             witness_nonperfect(-1, 2, 1)
         with pytest.raises(ValueError):
             witness_nonperfect(0, 4, 1)

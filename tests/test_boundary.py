@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loctower
-from loctower.adjunction import _relabel_to_base
+from loctower.adjunction import witness_nonperfect
 from loctower.roots import kth_root, primitive_root
 from loctower.tower import (
     TowerElement,
@@ -34,10 +34,10 @@ from loctower.words import (
 
 from conftest import (
     is_cyclically_reduced,
-    level_index_range,
     level_letters,
     level_words,
     nonempty_words_strategy,
+    oracle_distinguished_word,
     oracle_phi_preimage,
     words_strategy,
 )
@@ -135,20 +135,14 @@ class TestTower:
 
 
 class TestAdjunction:
-    @given(st.integers(0, 5), st.data())
-    def test_relabel_to_base(self, level, data):
-        w = data.draw(level_words(level, 16))
-        r = _relabel_to_base(w, level)
-        assert_valid(r)
-        assert max_index(r) <= 2**level
-        offset = level_index_range(level).start - 1
-        assert r.letters == tuple(l - offset if l > 0 else l + offset for l in w.letters)
-
-    def test_relabel_promoted_generator(self):
-        for level in range(6):
-            r = _relabel_to_base(promote(TowerElement(0, Word((1,))), level).word, level)
+    def test_distinguished_word_in_base_labels(self):
+        """x1 expanded in base labels is x1 promoted by the doubling
+        convention with its indices shifted down by 2^n - 1."""
+        for level in range(8):
+            r = witness_nonperfect(level, 2, 1).group.root_of
             assert_valid(r)
-            assert len(r) == 4**level
+            assert r == oracle_distinguished_word(level)
+            assert len(r) == 4**level and max_index(r) == 2**level
 
 
 UNVALIDATED_CALLERS = {
@@ -160,7 +154,7 @@ UNVALIDATED_CALLERS = {
     ("tower", "promote"),
     ("tower", "phi_preimage"),
     ("tower", "normalize"),
-    ("adjunction", "_relabel_to_base"),
+    ("adjunction", "witness_nonperfect"),
 }
 NEVER_UNVALIDATED = ("cli", "stallings", "presentations")
 

@@ -46,6 +46,22 @@ class TestReduce:
         assert code == 0
         assert out.splitlines()[0] == "word=1"
 
+    def test_non_ascii_digits_are_parse_errors(self, capsys):
+        for text, column in (("x²", 2), ("x1^²", 4), ("x١", 2)):
+            code, out, err = invoke(capsys, "reduce", text)
+            assert (code, out) == (2, "")
+            assert err == f"parse error: column {column}: " + (
+                "expected an integer\n" if column == 4 else "expected generator index after 'x'\n"
+            )
+
+    def test_power_beyond_an_index_is_refused(self, capsys):
+        code, out, err = invoke(
+            capsys, "--max-length", "10", "reduce", "x1^999999999999999999999999999999"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: power of 999999999999999999999999999999 letters")
+        assert "sys.maxsize" in err
+
 
 class TestRoot:
     def test_power(self, capsys):
@@ -392,6 +408,10 @@ class TestWitness:
         assert data["rootless"] is True
         assert data["base_rank"] == 4
 
+    def test_negative_level_is_refused(self, capsys):
+        code, out, err = invoke(capsys, "witness", "--level", "-1", "--prime", "2", "--depth", "1")
+        assert (code, out, err) == (1, "", "error: target level -1 is below current level 0\n")
+
     def test_large_prime_power_is_fast(self, capsys):
         start = time.perf_counter()
         code, out, _ = invoke(
@@ -437,6 +457,13 @@ class TestPrufer:
         assert invoke(capsys, "prufer", "--prime", "2", "1/2", "1/2") == (0, "sum=0\norder=1\n", "")
         code, out, _ = invoke(capsys, "--json", "prufer", "--prime", "3", "1/3", "2/9")
         assert code == 0 and out == '{"order": 9, "sum": "5/9"}\n'
+
+    def test_negative_operands_need_no_separator(self, capsys):
+        expected = (0, "sum=23/27\norder=27\n", "")
+        assert invoke(capsys, "prufer", "--prime", "3", "-1/3", "5/27") == expected
+        assert invoke(capsys, "prufer", "--prime", "3", "--", "-1/3", "5/27") == expected
+        assert invoke(capsys, "prufer", "--prime", "3", "5/27", "-1/3") == expected
+        assert invoke(capsys, "prufer", "--prime", "3", "-1/3", "-5/27")[1] == "sum=13/27\norder=27\n"
 
     def test_bad_element(self, capsys):
         code, _, err = invoke(capsys, "prufer", "--prime", "2", "1/3", "0")

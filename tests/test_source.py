@@ -102,3 +102,18 @@ print("released" if old() is None else "alive")
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "released"
+
+
+def test_no_unicode_digit_predicates():
+    """``str.isdigit`` and its relatives accept digits such as '²' and
+    '١', which ``int()`` refuses or reads as ASCII; text is parsed with
+    explicit ASCII digit sets instead."""
+    found = [
+        f"{module}:{node.lineno} .{node.func.attr}()"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("isdigit", "isdecimal", "isnumeric")
+    ]
+    assert found == []

@@ -162,7 +162,7 @@ class TestNormalizePromote:
         assert e.word == phi(1, phi(0, word(1)))
 
     def test_promote_below_level_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^target level 0 is below current level 1$"):
             promote(TowerElement(1, word(2)), 0)
 
     def test_promote_length_guard(self):

@@ -1,16 +1,19 @@
 """Word arithmetic: oracle comparisons, group axioms, parser round trips."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loctower.tower import TowerElement, promote
 from loctower.words import (
     IDENTITY,
     MAX_INTEGER_DIGITS,
     Word,
     WordSyntaxError,
+    _cancellation,
     commutator,
     cyclic_reduce,
     format_word,
@@ -86,6 +89,25 @@ class TestGroupOperations:
             flat.extend(p.letters)
         assert prod == reduce(flat)
 
+    @settings(max_examples=300)
+    @given(words_strategy(4, 24), words_strategy(4, 12), st.data())
+    def test_join_cancellation_at_every_cut(self, a, tail, data):
+        """b starts with the inverse of a's suffix from any cut 0..|a|, so
+        anything from no letter to all of a (tail empty) cancels."""
+        cut = data.draw(st.integers(0, len(a)))
+        b = multiply(invert(Word(a.letters[cut:])), tail)
+        expected = reduce(a.letters + b.letters)
+        assert _cancellation(a.letters, b.letters) == (len(a) + len(b) - len(expected)) // 2
+        assert multiply(a, b) == expected
+
+    def test_long_full_cancellation(self):
+        x = promote(TowerElement(0, word(1)), 7).word
+        assert len(x) == 16_384
+        assert _cancellation(x.letters, invert(x).letters) == 16_384
+        assert multiply(x, invert(x)) == IDENTITY
+        for k in (1, 1000, 8191, 16_383):
+            assert multiply(x, invert(Word(x.letters[-k:]))) == Word(x.letters[:-k])
+
     def test_commutator_example(self):
         assert commutator(word(1), word(2)).letters == (1, 2, -1, -2)
 
@@ -120,6 +142,13 @@ class TestPower:
     def test_matches_oracle(self, conj, core, k):
         w = multiply(multiply(conj, core), invert(conj))
         assert power(w, k) == oracle_power(w, k)
+
+    def test_more_letters_than_an_index_holds_is_refused(self):
+        # refused before the tuple is built, so no OverflowError or MemoryError
+        for w, k in ((word(1), 10**30), (word(1, 2), -(sys.maxsize // 2 + 1)), (word(1, 2, -1), 10**19)):
+            with pytest.raises(ValueError, match="sys.maxsize") as info:
+                power(w, k)
+            assert type(info.value) is ValueError
 
     @given(words_strategy(max_len=8), st.integers(1, 5))
     def test_support_preserved(self, w, k):
@@ -226,6 +255,12 @@ class TestTextSyntax:
                 parse_word(text)
             assert info.value.column == column
         assert parse_word("x" + "1" * MAX_INTEGER_DIGITS).letters == (int("1" * MAX_INTEGER_DIGITS),)
+
+    @pytest.mark.parametrize("text,column", [("x²", 2), ("x1^²", 4), ("x١", 2), ("x1^-٣", 5), ("1²", 2)])
+    def test_only_ascii_digits(self, text, column):
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(text)
+        assert info.value.column == column
 
     def test_error_column_is_reported(self):
         with pytest.raises(WordSyntaxError) as info:
