@@ -17,6 +17,7 @@ from loctower.adjunction import witness_nonperfect
 from loctower.roots import kth_root, primitive_root
 from loctower.tower import (
     TowerElement,
+    _expand,
     normalize,
     phi,
     phi_preimage,
@@ -34,6 +35,7 @@ from loctower.words import (
 
 from conftest import (
     is_cyclically_reduced,
+    level_index_range,
     level_letters,
     level_words,
     nonempty_words_strategy,
@@ -134,8 +136,24 @@ class TestTower:
             assert promote(e, level + 1).word == u
 
 
+def relabel_to_base(w: Word, level: int) -> Word:
+    """Level-``level`` indices shifted down by 2^level - 1 onto 1..2^level."""
+    offset = level_index_range(level).start - 1
+    return Word(tuple(l - offset if l > 0 else l + offset for l in w.letters))
+
+
 class TestAdjunction:
-    def test_distinguished_word_in_base_labels(self):
+    @given(st.integers(0, 5), st.data())
+    def test_relabel_to_base(self, level, data):
+        """The base-label expansion of a relabelled word is phi's image
+        relabelled one level up."""
+        w = data.draw(level_words(level, 16))
+        r = Word(_expand(relabel_to_base(w, level).letters, 1))
+        assert_valid(r)
+        assert max_index(r) <= 2 ** (level + 1)
+        assert r == relabel_to_base(phi(level, w), level + 1)
+
+    def test_relabel_promoted_generator(self):
         """x1 expanded in base labels is x1 promoted by the doubling
         convention with its indices shifted down by 2^n - 1."""
         for level in range(8):
