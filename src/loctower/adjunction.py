@@ -24,8 +24,10 @@ from .tower import TowerElement, _check_promotion, _expand
 from .words import (
     IdentityWordError,
     Word,
+    WordSyntaxError,
     _cancellation,
     _conjugator_length,
+    _integer,
     _reduced,
     format_word,
     invert,
@@ -263,11 +265,11 @@ def parse_prufer(p: int, text: str) -> Fraction:
     text = text.strip()
     if text == "0":
         return Fraction(0)
-    if "/" not in text:
-        raise ValueError(f"expected 'a/m' or '0', got {text!r}")
-    num_text, den_text = text.split("/", 1)
-    numerator = int(num_text)
-    denominator = m = int(den_text)
+    slash = text.find("/")
+    if slash < 0:
+        raise WordSyntaxError("expected 'a/m' or '0'", 1)
+    numerator = _integer(text, 0, slash)
+    denominator = m = _integer(text, slash + 1)
     while m > 1 and m % p == 0:
         m //= p
     if m != 1:
@@ -322,8 +324,7 @@ def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) ->
     which in a free group means it has no p-th root for any p.
     """
     _check_relation(p, d)
-    if n:  # promote's refusals, which level 0 skips
-        _check_promotion(TowerElement(0, Word((1,))), n, max_length)
+    _check_promotion(TowerElement(0, Word((1,))), n, max_length)
     letters = (1,)
     for _ in range(n):
         letters = _expand(letters, 1)

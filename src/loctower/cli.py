@@ -134,10 +134,7 @@ def _parse_amalgam_expression(text: str, limit: int) -> list:
         if chunk == "t":
             items.append(adjunction.TPower(1))
         elif chunk.startswith("t^"):
-            try:
-                items.append(adjunction.TPower(int(chunk[2:])))
-            except ValueError:
-                raise words.WordSyntaxError(f"bad t-power {chunk!r}", 1) from None
+            items.append(adjunction.TPower(words._integer(chunk, 2)))
         else:
             items.append(_read_word(chunk, limit))
     return items

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word, invert, multiply, parse_word, power, validate_rank
+from .words import Word, WordSyntaxError, _integer, invert, multiply, parse_word, power, validate_rank
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -327,9 +327,9 @@ def parse_presentation(text: str) -> Presentation:
             if not line.startswith("gens:"):
                 raise PresentationSyntaxError("expected a 'gens: n' header", lineno)
             try:
-                generator_count = int(line[len("gens:") :].strip())
-            except ValueError:
-                raise PresentationSyntaxError("invalid generator count", lineno) from None
+                generator_count = _integer(line[len("gens:") :].strip())
+            except WordSyntaxError as exc:
+                raise PresentationSyntaxError(f"invalid generator count: {exc}", lineno) from None
             if generator_count < 1:
                 raise PresentationSyntaxError("generator count must be positive", lineno)
             continue

@@ -169,8 +169,6 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     The result is generally not in canonical form (that is the point).
     ``max_length`` is checked once, before anything is built.
     """
-    if target == e.level:
-        return TowerElement(target, e.word)
     validate_level_word(e.level, e.word)
     _check_promotion(e, target, max_length)
     letters = e.word.letters

@@ -14,6 +14,7 @@ instead of checking it again.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from itertools import compress
@@ -242,87 +243,74 @@ def format_word(w: Word, symbol: str = "x") -> str:
 
 # Python refuses int() on strings of more than 4,300 digits by default
 MAX_INTEGER_DIGITS = 4000
-# ASCII digits only (str.isdigit admits '²'); a set, since '' is in every str
-_DIGITS = frozenset("0123456789")
+# ASCII digits only: str.isdigit and int() admit '²' or '٣'
+_INTEGER = re.compile(r"-?([0-9]*)")
 
 
-class _WordParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+def _integer(text: str, start: int = 0, stop: int | None = None) -> int:
+    """The integer that ``text[start:stop]`` spells in full: an optional
+    ``-``, then 1 to ``MAX_INTEGER_DIGITS`` ASCII digits.  Every text
+    integer is read here; refusals give 1-based columns in ``text``."""
+    stop = len(text) if stop is None else stop
+    m = _INTEGER.match(text, start, stop)
+    digits = m.end(1) - m.start(1)
+    if not digits:
+        raise WordSyntaxError("expected an integer", m.start(1) + 1)
+    if digits > MAX_INTEGER_DIGITS:
+        raise WordSyntaxError(
+            f"integer of {digits} digits exceeds the limit of "
+            f"{MAX_INTEGER_DIGITS} digits (MAX_INTEGER_DIGITS)",
+            start + 1,
+        )
+    if m.end() < stop:
+        raise WordSyntaxError(f"unexpected character {text[m.end()]!r}", m.end() + 1)
+    return int(m.group())
 
-    def fail(self, message: str) -> None:
-        raise WordSyntaxError(message, self.pos + 1)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_separators(self) -> None:
-        while self.peek() and self.peek() in " \t*":
-            self.pos += 1
-
-    def parse_integer(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if self.peek() not in _DIGITS:
-            self.fail("expected an integer")
-        first_digit = self.pos
-        while self.peek() in _DIGITS:
-            self.pos += 1
-        if self.pos - first_digit > MAX_INTEGER_DIGITS:
-            raise WordSyntaxError(
-                f"integer of {self.pos - first_digit} digits exceeds the limit of "
-                f"{MAX_INTEGER_DIGITS} digits (MAX_INTEGER_DIGITS)",
-                start + 1,
-            )
-        return int(self.text[start : self.pos])
-
-    def parse_term(self) -> Word:
-        c = self.peek()
-        if c == "1":
-            self.pos += 1
-            if self.peek() in _DIGITS:
-                self.fail("generator syntax is x<index>")
-            base = IDENTITY
-        elif c == "x":
-            self.pos += 1
-            if self.peek() not in _DIGITS:
-                self.fail("expected generator index after 'x'")
-            index = self.parse_integer()
-            if index < 1:
-                self.fail("generator index must be positive")
-            base = Word((index,))
-        elif c == "(":
-            self.pos += 1
-            base = self.parse_sequence()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-        else:
-            self.fail(f"unexpected character {c!r}")
-        if self.peek() == "^":
-            self.pos += 1
-            exponent = self.parse_integer()
-            return power(base, exponent)
-        return base
-
-    def parse_sequence(self) -> Word:
-        result = IDENTITY
-        self.skip_separators()
-        while self.peek() and self.peek() not in ")":
-            result = multiply(result, self.parse_term())
-            self.skip_separators()
-        return result
+# after separators, one of: "(", a term (x<index>, 1 or ")") with an
+# optional exponent, any other character, or the end
+_TOKEN = re.compile(
+    r"[ \t*]*(?:(\()|(?:x([0-9]*)|(1[0-9]?)|(\)))(?:\^(-?[0-9]*))?|(.)|\Z)", re.DOTALL
+)
 
 
 def parse_word(text: str) -> Word:
     """Parse the text syntax (``x1``, ``x2^-1``, ``(x1*x2)^3``, ``1``).
 
+    One pass over the tokens, with an explicit stack holding the running
+    product of each open group, so nesting depth is unbounded.
     Guarantees ``parse_word(format_word(w)) == w`` bit-exactly.
     """
-    parser = _WordParser(text)
-    result = parser.parse_sequence()
-    if parser.peek():
-        parser.fail("unexpected trailing input")
-    return result
+    groups = [IDENTITY]
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        pos = m.end()
+        opening, index, one, closing, exponent, other = m.groups()
+        if opening:
+            groups.append(IDENTITY)
+            continue
+        if index is not None:
+            if not index:
+                raise WordSyntaxError("expected generator index after 'x'", m.start(2) + 1)
+            i = _integer(text, m.start(2), m.end(2))
+            if i < 1:
+                raise WordSyntaxError("generator index must be positive", m.end(2) + 1)
+            term = Word((i,))
+        elif one:
+            if len(one) > 1:
+                raise WordSyntaxError("generator syntax is x<index>", m.end(3))
+            term = IDENTITY
+        elif closing:
+            if len(groups) == 1:
+                raise WordSyntaxError("unexpected trailing input", m.start(4) + 1)
+            term = groups.pop()
+        elif other:
+            raise WordSyntaxError(f"unexpected character {other!r}", m.start(6) + 1)
+        elif len(groups) > 1:
+            raise WordSyntaxError("expected ')'", len(text) + 1)
+        else:
+            return groups[0]
+        if exponent is not None:
+            term = power(term, _integer(text, m.start(5), m.end(5)))
+        groups[-1] = multiply(groups[-1], term)

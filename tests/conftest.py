@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 from loctower.presentations import AbelianInvariants, Presentation, relation_matrix, smith_normal_form
 from loctower.roots import primitive_root
 from loctower.tower import TowerElement, promote, validate_level_word
-from loctower.words import IDENTITY, Word, cyclic_reduce, invert, multiply, power, reduce
+from loctower.words import (
+    IDENTITY,
+    MAX_INTEGER_DIGITS,
+    Word,
+    WordSyntaxError,
+    cyclic_reduce,
+    invert,
+    multiply,
+    power,
+    reduce,
+)
 
 
 def letter_strategy(rank: int = 3):
@@ -191,6 +201,90 @@ def oracle_format_word(w: Word, symbol: str = "x") -> str:
             parts.append(f"{symbol}{-current}^{-run}")
         current, run = l, 1
     return "*".join(parts)
+
+
+class _RecursiveWordParser:
+    """The recursive descent parser that ``parse_word`` replaced, one
+    method per grammar rule; the reference for its values, messages and
+    columns."""
+
+    DIGITS = frozenset("0123456789")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message: str) -> None:
+        raise WordSyntaxError(message, self.pos + 1)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_separators(self) -> None:
+        while self.peek() and self.peek() in " \t*":
+            self.pos += 1
+
+    def parse_integer(self) -> int:
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if self.peek() not in self.DIGITS:
+            self.fail("expected an integer")
+        first_digit = self.pos
+        while self.peek() in self.DIGITS:
+            self.pos += 1
+        if self.pos - first_digit > MAX_INTEGER_DIGITS:
+            raise WordSyntaxError(
+                f"integer of {self.pos - first_digit} digits exceeds the limit of "
+                f"{MAX_INTEGER_DIGITS} digits (MAX_INTEGER_DIGITS)",
+                start + 1,
+            )
+        return int(self.text[start : self.pos])
+
+    def parse_term(self) -> Word:
+        c = self.peek()
+        if c == "1":
+            self.pos += 1
+            if self.peek() in self.DIGITS:
+                self.fail("generator syntax is x<index>")
+            base = IDENTITY
+        elif c == "x":
+            self.pos += 1
+            if self.peek() not in self.DIGITS:
+                self.fail("expected generator index after 'x'")
+            index = self.parse_integer()
+            if index < 1:
+                self.fail("generator index must be positive")
+            base = Word((index,))
+        elif c == "(":
+            self.pos += 1
+            base = self.parse_sequence()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+        else:
+            self.fail(f"unexpected character {c!r}")
+        if self.peek() == "^":
+            self.pos += 1
+            exponent = self.parse_integer()
+            return power(base, exponent)
+        return base
+
+    def parse_sequence(self) -> Word:
+        result = IDENTITY
+        self.skip_separators()
+        while self.peek() and self.peek() not in ")":
+            result = multiply(result, self.parse_term())
+            self.skip_separators()
+        return result
+
+
+def reference_parse_word(text: str) -> Word:
+    parser = _RecursiveWordParser(text)
+    result = parser.parse_sequence()
+    if parser.peek():
+        parser.fail("unexpected trailing input")
+    return result
 
 
 def oracle_phi_preimage(n: int, u: Word) -> Word | None:

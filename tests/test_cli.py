@@ -437,6 +437,16 @@ class TestWitness:
             capsys, "--max-length", "100", "witness", "--level", "3", "--prime", "2", "--depth", "1"
         )
         assert code == 0 and "quotient=Z/2" in out
+        # level 0 obeys the budget too: x1 is one letter
+        code, out, err = invoke(
+            capsys, "--max-length", "0", "witness", "--level", "0", "--prime", "2", "--depth", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: promotion from level 0 to 0 would give 4^0*1 letters (limit 0)\n"
+        code, out, _ = invoke(
+            capsys, "--max-length", "1", "witness", "--level", "0", "--prime", "2", "--depth", "1"
+        )
+        assert code == 0 and "distinguished=x1\n" in out
 
     def test_depth_is_bounded(self, capsys):
         start = time.perf_counter()
@@ -466,8 +476,9 @@ class TestPrufer:
         assert invoke(capsys, "prufer", "--prime", "3", "-1/3", "-5/27")[1] == "sum=13/27\norder=27\n"
 
     def test_bad_element(self, capsys):
-        code, _, err = invoke(capsys, "prufer", "--prime", "2", "1/3", "0")
-        assert code == 1
+        for operand in ("1/3", "1/0", "1/-4"):  # domain refusals, not parse errors
+            code, out, err = invoke(capsys, "prufer", "--prime", "2", operand, "0")
+            assert (code, out, err) == (1, "", "error: denominator must be a power of 2\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 101]), st.data())
@@ -490,6 +501,79 @@ class TestPrufer:
             # "--" lets argparse read a negative operand as a positional
             code = run(["prufer", "--prime", str(p), "--", f"{a}/{p**k}", f"{b}/{p**j}"])
         assert code == 0 and out.getvalue() == f"sum={expected}\norder={order}\n"
+
+
+class TestIntegerText:
+    """Every entry point reads integers as ASCII digits with an optional
+    '-', at most MAX_INTEGER_DIGITS of them; anything else, such as '٣',
+    '+3' or '3_000', which int() accepts, is a parse error."""
+
+    ADJOIN = ("adjoin", "--base-rank", "1", "--root-of", "x1", "--prime", "3", "--depth", "1")
+
+    def refused(self, capsys, *argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: ") and "int()" not in err, argv
+        return err
+
+    @pytest.mark.parametrize(
+        "exponent,message",
+        [
+            ("٣", "column 3: expected an integer"),
+            ("+3", "column 3: expected an integer"),
+            ("3_000", "column 4: unexpected character '_'"),
+            ("", "column 3: expected an integer"),
+            ("-", "column 4: expected an integer"),
+        ],
+    )
+    def test_t_powers(self, capsys, exponent, message):
+        err = self.refused(capsys, *self.ADJOIN, "--normalize", f"t^{exponent}")
+        assert err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "operand,message",
+        [
+            ("٣/9", "column 1: expected an integer"),
+            ("1_0/9", "column 2: unexpected character '_'"),
+            ("+1/9", "column 1: expected an integer"),
+            ("a/4", "column 1: expected an integer"),
+            ("1/+9", "column 3: expected an integer"),
+            ("x", "column 1: expected 'a/m' or '0'"),
+        ],
+    )
+    def test_prufer_operands(self, capsys, operand, message):
+        for argv in ((operand, "0"), ("0", operand)):
+            err = self.refused(capsys, "prufer", "--prime", "3", *argv)
+            assert err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize("count", ["٣", "+3", "3_000", "3.0"])
+    def test_generator_count(self, capsys, tmp_path, count):
+        path = tmp_path / "pres.txt"
+        path.write_text(f"gens: {count}\nx1*x2^-1\n", encoding="utf-8")
+        err = self.refused(capsys, "abelianize", str(path))
+        assert err.startswith("parse error: line 1: invalid generator count: column ")
+
+    def test_overlong_integers_are_refused_without_echo(self, capsys):
+        digits = "1" * 5000
+        start = time.perf_counter()
+        for argv in (
+            (*self.ADJOIN, "--normalize", f"t^{digits}"),
+            (*self.ADJOIN, "--normalize", f"t^-{digits}"),
+            ("prufer", "--prime", "3", f"{digits}/9", "0"),
+            ("prufer", "--prime", "3", "1/9", f"-{digits}/9"),
+            ("prufer", "--prime", "3", f"1/{digits}", "0"),
+        ):
+            err = self.refused(capsys, *argv)
+            assert "exceeds the limit of 4000 digits (MAX_INTEGER_DIGITS)" in err
+            assert digits[:100] not in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_valid_integers_read_as_before(self, capsys):
+        assert invoke(capsys, "prufer", "--prime", "3", "-0/9", "007/27")[:2] == (0, "sum=7/27\norder=27\n")
+        # surrounding blanks are stripped, as before
+        assert invoke(capsys, "prufer", "--prime", "3", " 1/9 ", "0")[:2] == (0, "sum=1/9\norder=9\n")
+        code, out, _ = invoke(capsys, *self.ADJOIN, "--normalize", "t^-03 x1")
+        assert code == 0 and "normal_form=1\n" in out
 
 
 class TestGlobalBehavior:
@@ -523,6 +607,11 @@ class TestGlobalBehavior:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "parse error" in err and "column" in err and "MAX_INTEGER_DIGITS" in err
+
+    def test_deeply_nested_groups_parse(self, capsys):
+        depth = 500
+        text = "(" * depth + "x1" + ")" * depth
+        assert invoke(capsys, "reduce", text) == (0, "word=x1\nlength=1\n", "")
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

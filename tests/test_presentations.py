@@ -460,6 +460,12 @@ class TestParser:
         with pytest.raises(PresentationSyntaxError):
             parse_presentation("gens: 1\nx2")  # relator beyond rank
 
+    @pytest.mark.parametrize("count", ["٣", "+3", "3_000", "", "3 4", "x"])
+    def test_generator_count_is_ascii_digits(self, count):
+        with pytest.raises(PresentationSyntaxError, match="^line 2: invalid generator count: column "):
+            parse_presentation(f"# header\ngens: {count}\nx1")
+        assert parse_presentation("gens: 03\nx1").generator_count == 3
+
     def test_error_line_is_reported(self):
         with pytest.raises(PresentationSyntaxError) as info:
             parse_presentation("gens: 2\nx1\nx?")

@@ -2,7 +2,8 @@
 class is named somewhere in ``src/loctower`` outside its own definition, or
 is exported by ``__init__``, and every module-level import is used.  Helpers
 only the tests need live in ``tests/conftest.py``.  Re-importing the package
-releases the old copy."""
+releases the old copy, and text reaches ``int()`` only through the one
+integer reader."""
 
 import ast
 import os
@@ -117,3 +118,31 @@ def test_no_unicode_digit_predicates():
         and node.func.attr in ("isdigit", "isdecimal", "isnumeric")
     ]
     assert found == []
+
+
+# the functions that call int(...): the one reader of integers in text,
+# and smith_normal_form's coercion of matrix entries and booleans
+INT_CALLERS = {
+    ("words", "_integer"),
+    ("presentations", "smith_normal_form"),
+}
+
+
+def test_int_callers_are_pinned():
+    """``int()`` also accepts '+3', '3_000', '٣' and surrounding blanks,
+    and refuses more than 4,300 digits with a message of its own; text is
+    read by ``words._integer`` instead, so a new caller of ``int()`` needs
+    an edit here."""
+    callers = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
+            callers.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, tree in TREES.items():
+        visit(tree, module, "<module>")
+    assert callers == INT_CALLERS

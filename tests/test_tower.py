@@ -180,6 +180,14 @@ class TestNormalizePromote:
             has_p_root_in_H(TowerElement(0, IDENTITY), 2, 10**9, cross_check=True, max_length=100)
         assert time.perf_counter() - start < 1.0
 
+    def test_promotion_to_its_own_level_checks_word_and_budget(self):
+        with pytest.raises(ValueError, match=r"^generator x1 is not valid at level 2 "):
+            promote(TowerElement(2, word(1)), 2)
+        x5 = TowerElement(0, word(1, 1, 1, 1, 1))
+        with pytest.raises(LengthLimitError, match=r"level 0 to 0 would give 4\^0\*5 letters \(limit 3\)"):
+            promote(x5, 0, max_length=3)
+        assert promote(x5, 0, max_length=5) == x5
+
     def test_identity_normalizes_to_level_zero(self):
         start = time.perf_counter()
         assert normalize(3 * 10**6, IDENTITY) == TowerElement(0, IDENTITY)

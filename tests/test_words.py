@@ -35,6 +35,7 @@ from conftest import (
     oracle_cyclic_reduce,
     oracle_format_word,
     oracle_power,
+    reference_parse_word,
     words_strategy,
 )
 
@@ -266,3 +267,73 @@ class TestTextSyntax:
         with pytest.raises(WordSyntaxError) as info:
             parse_word("x1*x*x2")
         assert info.value.column == 5
+
+
+def parse_outcome(parse, text):
+    """The parsed word, or the refusal's message and column."""
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return str(exc), exc.column
+
+
+def valid_texts():
+    """Formatted words and ``1``, grouped with every separator and raised
+    to powers, nested."""
+    leaves = st.one_of(words_strategy(rank=12, max_len=6).map(format_word), st.just("1"))
+
+    def groups(children):
+        return st.builds(
+            lambda parts, separator, exponent: f"({separator.join(parts)}){exponent}",
+            st.lists(children, max_size=4),
+            st.sampled_from(["*", " ", "\t", " * ", "**"]),
+            st.sampled_from(["", "^0", "^1", "^2", "^-3", "^12", "^-0"]),
+        )
+
+    return st.recursive(leaves, groups, max_leaves=12)
+
+
+# every token kind, the characters around them, and refused characters
+PARSER_PIECES = ["x", "1", "0", "7", "(", ")", "^", "-", " ", "\t", "*", "\n", "+", "y", "²", "٣"]
+
+
+class TestParserMatchesRecursiveReference:
+    """``parse_word`` returns the reference's word, or its message and
+    column, on valid texts, on valid texts with one character changed, and
+    on texts of random pieces."""
+
+    @given(valid_texts())
+    def test_valid_texts(self, text):
+        expected = reference_parse_word(text)
+        assert parse_word(text) == expected
+
+    @settings(max_examples=200)
+    @given(valid_texts(), st.data())
+    def test_one_character_changed(self, text, data):
+        i = data.draw(st.integers(0, len(text)))
+        piece = data.draw(st.sampled_from(PARSER_PIECES + [""]))
+        cut = data.draw(st.integers(0, 1))
+        changed = text[:i] + piece + text[i + cut :]
+        assert parse_outcome(parse_word, changed) == parse_outcome(reference_parse_word, changed)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(PARSER_PIECES + ["x1", "x23", "x2^-1", "^-2"]), max_size=12))
+    def test_random_pieces(self, pieces):
+        text = "".join(pieces)
+        assert parse_outcome(parse_word, text) == parse_outcome(reference_parse_word, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1^2^3", "(^2)", "x1 ^2", "x1^-", ")", "(", "11", "x0", "x00", "", "()", "(x1))",
+         "x1^-0", "1^5", "(x1 x2)^-2 * x2", "x1^3x2", "x12^", "x1\n", ")^2", "(x1^"],
+    )
+    def test_examples(self, text):
+        assert parse_outcome(parse_word, text) == parse_outcome(reference_parse_word, text)
+
+    def test_nesting_depth_is_unbounded(self):
+        depth = 10_000
+        assert depth > sys.getrecursionlimit()
+        assert parse_word("(" * depth + "x1" + ")" * depth) == Word((1,))
+        with pytest.raises(WordSyntaxError, match="expected '\\)'") as info:
+            parse_word("(" * depth + "x1" + ")" * (depth - 1))
+        assert info.value.column == 2 * depth + 2
