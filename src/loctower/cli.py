@@ -19,34 +19,25 @@ from . import adjunction, presentations, roots, stallings, tower, words
 from .words import format_word, parse_word
 
 
-def _read_word(text: str, limit: int) -> words.Word:
-    w = parse_word(text)
-    if len(w) > limit:
-        raise tower.LengthLimitError(
-            f"word has {len(w)} letters (limit {limit}; raise with --max-length)"
-        )
-    return w
-
-
 def _cmd_reduce(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     return {"word": format_word(w), "length": len(w)}
 
 
 def _cmd_root(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     dec = roots.primitive_root(w)
     return {"root": format_word(dec.root), "exponent": dec.exponent}
 
 
 def _cmd_centralizer(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     return {"generator": format_word(roots.centralizer_generator(w))}
 
 
 def _cmd_subgroup(args) -> dict:
-    gens = [_read_word(g, args.max_length) for g in args.generators]
-    query = _read_word(args.word, args.max_length)
+    gens = [parse_word(g, args.max_length) for g in args.generators]
+    query = parse_word(args.word, args.max_length)
     graph = stallings.build_graph(gens)
     witness = stallings.express(graph, query)
     out: dict = {"member": witness is not None}
@@ -58,19 +49,19 @@ def _cmd_subgroup(args) -> dict:
 
 
 def _cmd_tower_phi(args) -> dict:
-    w = parse_word(args.word)
+    w = parse_word(args.word, args.max_length)
     image = tower.phi(args.level, w, max_length=args.max_length)
     return {"level": args.level + 1, "word": format_word(image)}
 
 
 def _cmd_tower_normalize(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     e = tower.normalize(args.level, w)
     return {"level": e.level, "word": format_word(e.word)}
 
 
 def _cmd_tower_root(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     e = tower.normalize(args.level, w)
     cert = tower.has_p_root_in_H(
         e,
@@ -98,7 +89,7 @@ def _cmd_tower_root(args) -> dict:
 
 
 def _cmd_tower_centralizer_check(args) -> dict:
-    w = _read_word(args.word, args.max_length)
+    w = parse_word(args.word, args.max_length)
     ok = tower.centralizer_compat(args.level, w)
     return {"level": args.level, "word": format_word(w), "compatible": ok}
 
@@ -115,7 +106,7 @@ def _cmd_abelianize(args) -> dict:
     if args.file is None:
         raise ValueError("provide a presentation file or --triangle l m n")
     with open(args.file, "r", encoding="utf-8") as handle:
-        pres = presentations.parse_presentation(handle.read())
+        pres = presentations.parse_presentation(handle.read(), args.max_length)
     inv = presentations.abelianization(pres)
     return {
         "abelianization": presentations.format_abelian_invariants(inv),
@@ -136,12 +127,12 @@ def _parse_amalgam_expression(text: str, limit: int) -> list:
         elif chunk.startswith("t^"):
             items.append(adjunction.TPower(words._integer(chunk, 2)))
         else:
-            items.append(_read_word(chunk, limit))
+            items.append(parse_word(chunk, limit))
     return items
 
 
 def _cmd_adjoin(args) -> dict:
-    root_of = _read_word(args.root_of, args.max_length)
+    root_of = parse_word(args.root_of, args.max_length)
     with warnings.catch_warnings():
         # the rebase is reported on stdout as rebased_from
         warnings.filterwarnings("ignore", "root_of .* is a proper power", UserWarning)
@@ -168,11 +159,7 @@ def _cmd_adjoin(args) -> dict:
         bases = [len(i) for i in expr if isinstance(i, words.Word)]
         t_powers = [abs(i.exponent) for i in expr if isinstance(i, adjunction.TPower)]
         bound = sum(bases) + 2 * x * len(bases) + x * sum(e // q + 1 for e in t_powers)
-        if bound > args.max_length:
-            raise tower.LengthLimitError(
-                f"normal form may reach {bound} letters "
-                f"(limit {args.max_length}; raise with --max-length)"
-            )
+        words._check_length("normal form bound", bound, args.max_length)
         element = adjunction.amalgam_normalize(group, expr)
         out["normal_form"] = str(element)
         out["prufer_image"] = str(adjunction.prufer_quotient_map(group, element))
@@ -191,6 +178,13 @@ def _cmd_prufer(args) -> dict:
     return {"sum": str(total), "order": total.denominator}
 
 
+def _integer_option(text: str) -> int:
+    try:
+        return words._integer(text)
+    except words.WordSyntaxError as exc:  # argparse names the option and exits 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loctower",
@@ -200,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--max-length",
-        type=int,
+        type=_integer_option,
         default=10**6,
         metavar="N",
         help="abort before producing words longer than N letters",
@@ -230,19 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = tsub.add_parser("phi", help="apply the commutator embedding once")
     p.add_argument("word")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer_option, required=True)
     p.set_defaults(handler=_cmd_tower_phi)
 
     p = tsub.add_parser("normalize", help="minimal-level representative")
     p.add_argument("word")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer_option, required=True)
     p.set_defaults(handler=_cmd_tower_normalize)
 
     p = tsub.add_parser("root", help="p-root certificate in the tower group")
     p.add_argument("word")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument("--level", type=_integer_option, required=True)
+    p.add_argument("--prime", type=_integer_option, required=True)
+    p.add_argument("--max-level", type=_integer_option, required=True)
     p.add_argument(
         "--cross-check",
         action="store_true",
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = tsub.add_parser("centralizer-check", help="centralizer compatibility across phi")
     p.add_argument("word")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer_option, required=True)
     p.set_defaults(handler=_cmd_tower_centralizer_check)
 
     p = sub.add_parser("abelianize", help="abelian invariants of a presentation")
@@ -260,30 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--triangle",
         nargs=3,
-        type=int,
+        type=_integer_option,
         metavar=("L", "M", "N"),
         help="use the triangle-extension group G(l,m,n)",
     )
     p.set_defaults(handler=_cmd_abelianize)
 
     p = sub.add_parser("adjoin", help="adjoin a p^d-th root to a free-group element")
-    p.add_argument("--base-rank", type=int, required=True)
+    p.add_argument("--base-rank", type=_integer_option, required=True)
     p.add_argument("--root-of", required=True, metavar="WORD")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--prime", type=_integer_option, required=True)
+    p.add_argument("--depth", type=_integer_option, required=True)
     p.add_argument("--normalize", metavar="EXPR", help="normalize an expression")
     p.set_defaults(handler=_cmd_adjoin)
 
     p = sub.add_parser("witness", help="non-perfectness witness report")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--level", type=_integer_option, required=True)
+    p.add_argument("--prime", type=_integer_option, required=True)
+    p.add_argument("--depth", type=_integer_option, required=True)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("prufer", help="add two Prüfer-group elements")
     # argparse takes "-1/3" for an option unless it matches this pattern
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_integer_option, required=True)
     p.add_argument("a", help="element written a/p^k, e.g. 1/4")
     p.add_argument("b")
     p.set_defaults(handler=_cmd_prufer)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word, WordSyntaxError, _integer, invert, multiply, parse_word, power, validate_rank
+from .words import LengthLimitError, Word, WordSyntaxError, _check_length, _integer, invert
+from .words import multiply, parse_word, power, validate_rank
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -310,12 +311,14 @@ def tower_truncation(n: int) -> Presentation:
     return Presentation(count, relators)
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str, max_length: int | None = None) -> Presentation:
     """Parse the presentation text format.
 
     A ``gens: n`` line followed by one relator per line in word syntax;
     chained equalities ``w1 = w2 = w3`` become relators ``w1*w2^-1`` and
-    ``w2*w3^-1``.  Blank lines and ``#`` comments are skipped.
+    ``w2*w3^-1``.  Blank lines and ``#`` comments are skipped.  Every side
+    is parsed within ``max_length``, and every relator is held to it; a
+    refusal names its line.
     """
     generator_count = None
     relators: list[Word] = []
@@ -334,14 +337,15 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("generator count must be positive", lineno)
             continue
         try:
-            sides = [parse_word(part) for part in line.split("=")]
-        except ValueError as exc:
+            sides = [parse_word(part, max_length) for part in line.split("=")]
+            chained = [multiply(a, invert(b)) for a, b in zip(sides, sides[1:])] or sides
+            for r in chained:
+                _check_length("relator", len(r), max_length)
+        except WordSyntaxError as exc:
             raise PresentationSyntaxError(str(exc), lineno) from None
-        if len(sides) == 1:
-            relators.append(sides[0])
-        else:
-            for a, b in zip(sides, sides[1:]):
-                relators.append(multiply(a, invert(b)))
+        except LengthLimitError as exc:
+            raise LengthLimitError(f"line {lineno}: {exc}") from None
+        relators.extend(chained)
     if generator_count is None:
         raise PresentationSyntaxError("missing 'gens: n' header", 1)
     try:

@@ -8,7 +8,6 @@ primality test for the p in p-th roots lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
 
 from .words import (
     IdentityWordError,
@@ -16,6 +15,7 @@ from .words import (
     _conjugator_length,
     _reduced,
     multiply,
+    power,
 )
 
 
@@ -41,60 +41,46 @@ def _prime_divisors(n: int):
         yield n
 
 
-def _root_split(letters: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
-    """(i, core, d) for nonempty reduced ``letters = c u c^-1``, |c| = i,
-    core u: d is the least period of u that divides n = |u|.
-
-    The periods of u that divide n are exactly the multiples of d that
-    divide n: two such periods p, p' satisfy p + p' - gcd(p, p') <= n, so
-    gcd(p, p') is a period too (Fine and Wilf, Proc. AMS 16, 1965).  Hence
-    starting from p = n and dividing p by each prime q of n for as long as
-    p / q is still a period leaves exactly d, after O(sqrt n) trial
-    divisions and O(log n) slice comparisons.
-    """
-    i = _conjugator_length(letters)
-    core = letters[i : len(letters) - i]
-    n = p = len(core)
-    for q in _prime_divisors(n):
-        while p % q == 0 and core[p // q :] == core[: n - p // q]:
-            p //= q
-    return i, core, p
-
-
 def primitive_root(w: Word) -> RootDecomposition:
     """Unique primitive v and maximal k >= 1 with w = v^k.
 
     With ``w = c u c^-1`` and u cyclically reduced, v is ``c u[:d] c^-1``
-    for the least period d of u that divides |u|, and k = |u| / d.
+    for the least period d of u that divides n = |u|, and k = n / d.
+
+    The periods of u that divide n are exactly the multiples of d that
+    divide n: two such periods p, p' satisfy p + p' - gcd(p, p') <= n, so
+    gcd(p, p') is a period too (Fine and Wilf, Proc. AMS 16, 1965).  Hence
+    starting from d = n and dividing d by each prime q of n for as long as
+    d / q is still a period leaves the least one, after O(sqrt n) trial
+    divisions and O(log n) slice comparisons.
     """
     if not w:
         raise IdentityWordError("identity word has no primitive root")
     letters = w.letters
-    i, core, d = _root_split(letters)
+    i = _conjugator_length(letters)
+    core = letters[i : len(letters) - i]
+    n = d = len(core)
+    for q in _prime_divisors(n):
+        while d % q == 0 and core[d // q :] == core[: n - d // q]:
+            d //= q
     # v = core[:d] ends like the cyclically reduced core (d divides |core|),
     # so c v c^-1 has the joins of the reduced input and v is cyclically reduced
     root = _reduced(letters[:i] + core[:d] + letters[len(letters) - i :])
-    return RootDecomposition(root, len(core) // d)
+    return RootDecomposition(root, n // d)
 
 
 def kth_root(w: Word, k: int) -> Word | None:
     """The unique v with v^k = w, or None when no such v exists.
 
-    v^-k = w exactly when v^k = w^-1, so a negative k inverts w first.
+    With w = r^e for the primitive root r, v is r^(e/k) when k divides e,
+    for either sign of k.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     if not w:
-        return Word()
-    letters = w.letters
-    if k < 0:
-        letters, k = tuple(map(neg, reversed(letters))), -k
-    i, core, d = _root_split(letters)
-    exponent = len(core) // d
-    if exponent % k:
-        return None
-    # c v^j c^-1 with v = core[:d] cyclically reduced, as in primitive_root
-    return _reduced(letters[:i] + core[:d] * (exponent // k) + letters[len(letters) - i :])
+        return w
+    dec = primitive_root(w)
+    return None if dec.exponent % k else power(dec.root, dec.exponent // k)
 
 
 def centralizer_generator(w: Word) -> Word:

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .roots import centralizer_generator, is_prime, kth_root
-from .words import IDENTITY, IdentityWordError, Word, _reduced, invert, multiply
-
-
-class LengthLimitError(ValueError):
-    """A promotion would exceed the configured word-length guard."""
+from .words import IDENTITY, IdentityWordError, LengthLimitError, Word, _reduced, invert, multiply
 
 
 def validate_level_word(n: int, w: Word) -> None:
@@ -226,38 +222,30 @@ def has_p_root_in_H(
 ) -> RootCertificate:
     """Decide whether ``e`` has a p-th root in the colimit group.
 
-    ``max_length`` bounds the promotions of cross-check mode; it is checked
-    once, for ``max_level``, before any level is built.
+    Theorem mode checks the element's own level alone; cross-check mode
+    checks every level up to ``max_level``.  ``max_length`` bounds the
+    promotions; it is checked once, for the last level, before any level
+    is built.
     """
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if max_level < e.level:
         raise ValueError("max_level must be at least the element's level")
-    if not cross_check:
-        root = kth_root(e.word, p)
-        if root is not None:
-            return RootCertificate(
-                ROOT_FOUND, p, "theorem", e.level, (e.level,), normalize(e.level, root)
-            )
-        return RootCertificate(NO_ROOT_PROVEN, p, "theorem", e.level, (e.level,), None)
-
-    _check_promotion(e, max_level, max_length)
-    witness = None
-    found_levels = []
-    for level in range(e.level, max_level + 1):
-        w = promote(e, level).word
-        root = kth_root(w, p)
+    levels = range(e.level, (max_level if cross_check else e.level) + 1)
+    _check_promotion(e, levels[-1], max_length)
+    witness, found_levels = None, []
+    for level in levels:
+        root = kth_root(promote(e, level).word, p)
         if root is not None:
             found_levels.append(level)
             if witness is None:
                 witness = normalize(level, root)
-    checked = tuple(range(e.level, max_level + 1))
-    if witness is not None:
-        # a root at any level is a root at every higher level
-        if found_levels != list(range(found_levels[0], max_level + 1)):
-            raise AssertionError("tower: a p-th root found at one level is missing at a higher one")
-        return RootCertificate(ROOT_FOUND, p, "cross-check", e.level, checked, witness)
-    return RootCertificate(NO_ROOT_PROVEN, p, "cross-check", e.level, checked, None)
+    # a root at any level is a root at every higher level
+    if found_levels != list(levels[len(levels) - len(found_levels) :]):
+        raise AssertionError("tower: a p-th root found at one level is missing at a higher one")
+    status = NO_ROOT_PROVEN if witness is None else ROOT_FOUND
+    mode = "cross-check" if cross_check else "theorem"
+    return RootCertificate(status, p, mode, e.level, tuple(levels), witness)
 
 
 def centralizer_compat(n: int, w: Word) -> bool:

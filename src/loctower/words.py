@@ -34,6 +34,10 @@ class IdentityWordError(ValueError):
     """The operation needs a nontrivial word."""
 
 
+class LengthLimitError(ValueError):
+    """A word would exceed ``max_length`` or sys.maxsize letters."""
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word.
@@ -135,11 +139,26 @@ def invert(w: Word) -> Word:
     return _reduced(tuple(map(neg, reversed(w.letters))))
 
 
+def _check_length(what: str, length: int, max_length: int | None) -> None:
+    """Refuse ``what`` of ``length`` letters above ``max_length`` or above sys.maxsize."""
+    if max_length is not None and length > max_length:
+        raise LengthLimitError(f"{what} of {length} letters (limit {max_length})")
+    if length > sys.maxsize:
+        raise LengthLimitError(f"{what} of {length} letters exceeds sys.maxsize = {sys.maxsize}")
+
+
+def _power_length(letters: tuple[int, ...], k: int) -> tuple[int, int]:
+    """|c| and the length 2|c| + |k|*|u| of the k-th power of ``c u c^-1``."""
+    i = _conjugator_length(letters)
+    return i, 2 * i + abs(k) * (len(letters) - 2 * i)
+
+
 def power(w: Word, k: int) -> Word:
     """``w**k`` fully reduced; ``power(w, 0)`` is the identity.
 
     With ``w = c u c^-1`` and ``u`` cyclically reduced, ``w**k`` is
-    ``c u^k c^-1`` letter for letter.
+    ``c u^k c^-1`` letter for letter.  A power of more than sys.maxsize
+    letters is refused before it is built.
 
     >>> str(power(word(1, 2, -1), 3))
     'x1*x2^3*x1^-1'
@@ -149,9 +168,9 @@ def power(w: Word, k: int) -> Word:
     letters = w.letters
     if k < 0:
         letters, k = tuple(map(neg, reversed(letters))), -k
-    i, n = _conjugator_length(letters), len(letters)
-    if (length := n + (k - 1) * (n - 2 * i)) > sys.maxsize:
-        raise ValueError(f"power of {length} letters exceeds sys.maxsize = {sys.maxsize}")
+    i, length = _power_length(letters, k)
+    _check_length("power", length, None)
+    n = len(letters)
     # u = letters[i:n-i] is cyclically reduced, so no join of c u^k c^-1
     # cancels: c|u and u|c^-1 are joins of the reduced input, u|u is not
     # x x^-1 because i is maximal
@@ -270,15 +289,17 @@ def _integer(text: str, start: int = 0, stop: int | None = None) -> int:
 # after separators, one of: "(", a term (x<index>, 1 or ")") with an
 # optional exponent, any other character, or the end
 _TOKEN = re.compile(
-    r"[ \t*]*(?:(\()|(?:x([0-9]*)|(1[0-9]?)|(\)))(?:\^(-?[0-9]*))?|(.)|\Z)", re.DOTALL
+    r"[ \t*]*(?:(\()|(x([0-9]*)|(1[0-9]?)|(\)))(?:\^(-?[0-9]*))?|(.)|\Z)", re.DOTALL
 )
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str, max_length: int | None = None) -> Word:
     """Parse the text syntax (``x1``, ``x2^-1``, ``(x1*x2)^3``, ``1``).
 
     One pass over the tokens, with an explicit stack holding the running
-    product of each open group, so nesting depth is unbounded.
+    product of each open group, so nesting depth is unbounded.  Over
+    ``max_length`` letters, a power is refused before it is built and a
+    product once built, at the term's column.
     Guarantees ``parse_word(format_word(w)) == w`` bit-exactly.
     """
     groups = [IDENTITY]
@@ -286,31 +307,37 @@ def parse_word(text: str) -> Word:
     while True:
         m = _TOKEN.match(text, pos)
         pos = m.end()
-        opening, index, one, closing, exponent, other = m.groups()
+        opening, _, index, one, closing, exponent, other = m.groups()
         if opening:
             groups.append(IDENTITY)
             continue
         if index is not None:
             if not index:
-                raise WordSyntaxError("expected generator index after 'x'", m.start(2) + 1)
-            i = _integer(text, m.start(2), m.end(2))
+                raise WordSyntaxError("expected generator index after 'x'", m.start(3) + 1)
+            i = _integer(text, m.start(3), m.end(3))
             if i < 1:
-                raise WordSyntaxError("generator index must be positive", m.end(2) + 1)
+                raise WordSyntaxError("generator index must be positive", m.end(3) + 1)
             term = Word((i,))
         elif one:
             if len(one) > 1:
-                raise WordSyntaxError("generator syntax is x<index>", m.end(3))
+                raise WordSyntaxError("generator syntax is x<index>", m.end(4))
             term = IDENTITY
         elif closing:
             if len(groups) == 1:
-                raise WordSyntaxError("unexpected trailing input", m.start(4) + 1)
+                raise WordSyntaxError("unexpected trailing input", m.start(5) + 1)
             term = groups.pop()
         elif other:
-            raise WordSyntaxError(f"unexpected character {other!r}", m.start(6) + 1)
+            raise WordSyntaxError(f"unexpected character {other!r}", m.start(7) + 1)
         elif len(groups) > 1:
             raise WordSyntaxError("expected ')'", len(text) + 1)
         else:
             return groups[0]
         if exponent is not None:
-            term = power(term, _integer(text, m.start(5), m.end(5)))
+            k = _integer(text, m.start(6), m.end(6))
+            if max_length is not None:
+                length = _power_length(term.letters, k)[1]
+                _check_length(f"column {m.start(2) + 1}: power", length, max_length)
+            term = power(term, k)
         groups[-1] = multiply(groups[-1], term)
+        if max_length is not None:
+            _check_length(f"column {m.start(2) + 1}: word", len(groups[-1]), max_length)

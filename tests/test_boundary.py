@@ -168,7 +168,6 @@ UNVALIDATED_CALLERS = {
     ("words", "power"),
     ("words", "cyclic_reduce"),
     ("roots", "primitive_root"),
-    ("roots", "kth_root"),
     ("tower", "promote"),
     ("tower", "phi_preimage"),
     ("tower", "normalize"),

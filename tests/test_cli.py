@@ -55,11 +55,14 @@ class TestReduce:
             )
 
     def test_power_beyond_an_index_is_refused(self, capsys):
-        code, out, err = invoke(
-            capsys, "--max-length", "10", "reduce", "x1^999999999999999999999999999999"
-        )
+        power = "x1^999999999999999999999999999999"
+        code, out, err = invoke(capsys, "--max-length", "10", "reduce", power)
         assert (code, out) == (1, "")
-        assert err.startswith("error: power of 999999999999999999999999999999 letters")
+        assert err == "error: column 1: power of 999999999999999999999999999999 letters (limit 10)\n"
+        # a budget beyond any index leaves the refusal to sys.maxsize
+        code, out, err = invoke(capsys, "--max-length", "9" * 40, "reduce", power)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: column 1: power of 999999999999999999999999999999 letters")
         assert "sys.maxsize" in err
 
 
@@ -277,6 +280,14 @@ class TestAbelianize:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "abelianize", str(tmp_path / "nope.txt"))
         assert code == 1 and "error" in err
+
+    def test_length_refusal_exits_one_with_its_line(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        for relator in ("x1^3000001", "x1^99999999999999999999"):
+            path.write_text(f"gens: 1\n{relator}\n")
+            code, out, err = invoke(capsys, "abelianize", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: line 2: ") and "letters" in err
 
     def test_bad_presentation(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -643,3 +654,97 @@ class TestGlobalBehavior:
             code, out, _ = invoke(capsys, "--json", *case)
             assert code == 0
             assert isinstance(json.loads(out), dict)
+
+
+# Runs one command line in a fresh interpreter and reports, as the last
+# line of stderr, its exit code, its seconds and its tracemalloc peak.
+PROBE = """
+import sys, time, tracemalloc
+from loctower.cli import run
+tracemalloc.start()
+start = time.perf_counter()
+try:
+    code = run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
+# a 300,000-letter tuple alone takes 2.4 MB
+PEAK_BYTES = 1_000_000
+BIG = "x2^300000"
+ADJOIN_X1 = ("adjoin", "--base-rank", "1", "--root-of", "x1", "--prime", "2", "--depth", "1")
+ADVERSARIAL = [
+    ("reduce", "x1^100000000"),
+    ("reduce", "(x1*x2)^-50000000"),
+    ("reduce", "x1^1000000000000"),
+    ("reduce", "x1^20*x1^-20"),
+    ("reduce", "x1^999999999999999999999999999999"),
+    ("reduce", "x1^" + "9" * 5000),
+    ("root", BIG),
+    ("centralizer", BIG),
+    ("subgroup", BIG, "x1", "--word", "x1"),
+    ("subgroup", "x1", "--word", BIG),
+    ("tower", "phi", "x2^3000000", "--level", "1"),
+    ("tower", "normalize", BIG, "--level", "1"),
+    ("tower", "root", BIG, "--level", "1", "--prime", "2", "--max-level", "1"),
+    ("tower", "root", "x2", "--level", "1", "--prime", "2", "--max-level", "1000000000", "--cross-check"),
+    ("tower", "centralizer-check", BIG, "--level", "1"),
+    ("adjoin", "--base-rank", "2", "--root-of", BIG, "--prime", "2", "--depth", "1"),
+    (*ADJOIN_X1, "--normalize", f"t {BIG}"),
+    (*ADJOIN_X1, "--normalize", "t^1000000000000"),
+    ("witness", "--level", "1000000000", "--prime", "2", "--depth", "1"),
+    ("prufer", "--prime", "3", "1" * 5000 + "/9", "0"),
+    ("abelianize", "{file}"),
+    # integer options read as integer text is everywhere
+    ("--max-length", "1_000", "reduce", "x1^3"),
+    ("witness", "--level", "٠", "--prime", "2", "--depth", "1"),
+    ("witness", "--level", "0", "--prime", "2", "--depth", "+1"),
+    ("tower", "root", "x1", "--level", "0", "--prime", " 2", "--max-level", "2"),
+    ("tower", "root", "x1", "--level", "0", "--prime", "2", "--max-level", "0x2"),
+    ("adjoin", "--base-rank", "1.0", "--root-of", "x1", "--prime", "2", "--depth", "1"),
+    ("abelianize", "--triangle", "3", "8", "2_0"),
+]
+
+
+class TestAdversarialInput:
+    """Every subcommand and the file path, fed oversized words or malformed
+    integers under --max-length 10, exits 1 or 2 without a traceback, in
+    under 1 s and under PEAK_BYTES of traced memory: each refusal comes
+    before the word is built."""
+
+    @pytest.mark.parametrize("argv", ADVERSARIAL, ids=lambda argv: " ".join(a[:24] for a in argv))
+    def test_refused_fast_and_small(self, argv, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("gens: 2\nx1^3000001\n")
+        argv = [str(path) if a == "{file}" else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        # a subprocess with a timeout, so a hang fails instead of blocking
+        done = subprocess.run(
+            [sys.executable, "-c", PROBE, "--max-length", "10", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        *_, last = done.stderr.splitlines()
+        code, seconds, peak = last.split()
+        assert int(code) in (1, 2) and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert float(seconds) < 1.0
+        assert int(peak) < PEAK_BYTES
+
+    @pytest.mark.parametrize(
+        "option,argv",
+        [
+            ("--max-length", ("--max-length", "1_000", "reduce", "x1^3")),
+            ("--level", ("witness", "--level", "٣", "--prime", "2", "--depth", "1")),
+            ("--prime", ("prufer", "--prime", "+3", "1/3", "0")),
+            ("--depth", ("witness", "--level", "3", "--prime", "2", "--depth", "+1")),
+            ("--max-level", ("tower", "root", "x1", "--level", "0", "--prime", "2", "--max-level", " 2")),
+            ("--base-rank", ADJOIN_X1[:2] + ("٢",) + ADJOIN_X1[3:]),
+            ("--triangle", ("abelianize", "--triangle", "3", "8", "2.0")),
+        ],
+    )
+    def test_integer_options_name_the_option(self, capsys, option, argv):
+        with pytest.raises(SystemExit) as info:
+            run(list(argv))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}" in err and ": column " in err

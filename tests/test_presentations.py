@@ -23,7 +23,7 @@ from loctower.presentations import (
     triangle_group,
     triangle_is_finite,
 )
-from loctower.words import IDENTITY, Word, commutator, invert, multiply, power, reduce, word
+from loctower.words import IDENTITY, LengthLimitError, Word, commutator, invert, multiply, power, reduce, word
 
 from conftest import (
     determinant,
@@ -443,6 +443,8 @@ class TestParser:
         p = parse_presentation(text)
         assert p.generator_count == 2
         assert relation_matrix(p) == ((3, -8), (-2, 6))
+        # the longer relator, x1^3*x2^-8, has 11 letters
+        assert parse_presentation(text, 11) == p
 
     def test_plain_relators(self):
         p = parse_presentation("gens: 3\nx1*x2^-1\nx3")
@@ -470,3 +472,19 @@ class TestParser:
         with pytest.raises(PresentationSyntaxError) as info:
             parse_presentation("gens: 2\nx1\nx?")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("gens: 1\nx1^3000001", "line 2: column 1: power of 3000001 letters (limit 10)"),
+            ("gens: 2\n\nx1^5 = x2 = x1^3000001", "line 3: column 2: power of 3000001 letters (limit 10)"),
+            ("gens: 2\nx1^6 = x2^5", "line 2: relator of 11 letters (limit 10)"),
+            ("gens: 1\nx1^99999999999999999999", "line 2: power of 99999999999999999999 letters exceeds sys.maxsize"),
+        ],
+    )
+    def test_length_budget_names_the_line(self, text, message):
+        max_length = None if "exceeds" in message else 10
+        with pytest.raises(LengthLimitError) as info:
+            parse_presentation(text, max_length)
+        assert type(info.value) is LengthLimitError
+        assert str(info.value).startswith(message)

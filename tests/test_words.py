@@ -11,6 +11,7 @@ from loctower.tower import TowerElement, promote
 from loctower.words import (
     IDENTITY,
     MAX_INTEGER_DIGITS,
+    LengthLimitError,
     Word,
     WordSyntaxError,
     _cancellation,
@@ -147,9 +148,8 @@ class TestPower:
     def test_more_letters_than_an_index_holds_is_refused(self):
         # refused before the tuple is built, so no OverflowError or MemoryError
         for w, k in ((word(1), 10**30), (word(1, 2), -(sys.maxsize // 2 + 1)), (word(1, 2, -1), 10**19)):
-            with pytest.raises(ValueError, match="sys.maxsize") as info:
+            with pytest.raises(LengthLimitError, match="sys.maxsize"):
                 power(w, k)
-            assert type(info.value) is ValueError
 
     @given(words_strategy(max_len=8), st.integers(1, 5))
     def test_support_preserved(self, w, k):
@@ -337,3 +337,44 @@ class TestParserMatchesRecursiveReference:
         with pytest.raises(WordSyntaxError, match="expected '\\)'") as info:
             parse_word("(" * depth + "x1" + ")" * (depth - 1))
         assert info.value.column == 2 * depth + 2
+
+
+class TestLengthBudget:
+    """``parse_word(text, max_length)`` refuses a power before building it
+    and a running product once it exceeds the budget; within the budget it
+    returns what the unbudgeted parse returns."""
+
+    @settings(max_examples=200)
+    @given(valid_texts(), st.integers(0, 40))
+    def test_budget_only_refuses(self, text, max_length):
+        full = parse_word(text)
+        try:
+            assert parse_word(text, max_length) == full
+        except LengthLimitError:
+            pass
+        else:
+            assert len(full) <= max_length
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x1^100000000", "column 1: power of 100000000 letters (limit 10)"),
+            ("x2*(x1*x2)^-50000000", "column 10: power of 100000000 letters (limit 10)"),
+            ("x1^1000000000000", "column 1: power of 1000000000000 letters (limit 10)"),
+            ("x1^20*x1^-20", "column 1: power of 20 letters (limit 10)"),
+            ("x2*(x1*x3^5*x1^-1)^2", "column 18: power of 12 letters (limit 10)"),
+            ("x1^6 x2^5", "column 6: word of 11 letters (limit 10)"),
+            ("x1^6*(x2^5)", "column 11: word of 11 letters (limit 10)"),
+        ],
+    )
+    def test_refusals_name_length_limit_and_column(self, text, message):
+        with pytest.raises(LengthLimitError) as info:
+            parse_word(text, 10)
+        assert str(info.value) == message
+
+    def test_within_budget(self):
+        # a power's conjugator counts once: x1 x2^5 x1^-1 has 7 letters
+        assert len(parse_word("(x1*x2*x1^-1)^5", 7)) == 7
+        # cancellation between terms that each fit is not refused
+        assert parse_word("x1^10*x1^-10", 10) == IDENTITY
+        assert parse_word("1^100000000000", 0) == IDENTITY
