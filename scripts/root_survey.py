@@ -26,7 +26,8 @@ def main() -> None:
     for p in args.primes:
         theorem = has_p_root_in_H(element, p, args.max_level)
         exhaustive = has_p_root_in_H(element, p, args.max_level, cross_check=True)
-        assert theorem.status == exhaustive.status
+        if theorem.status != exhaustive.status:
+            raise AssertionError(f"p={p}: theorem mode and cross-check disagree")
         rows.append(
             {
                 "element": format_word(element.word),

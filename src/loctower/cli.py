@@ -90,6 +90,8 @@ def _cmd_tower_root(args) -> dict:
 
 def _cmd_tower_centralizer_check(args) -> dict:
     w = parse_word(args.word, args.max_length)
+    # centralizer_compat builds phi(w), of 4|w| letters
+    tower._check_promotion(tower.TowerElement(args.level, w), args.level + 1, args.max_length)
     ok = tower.centralizer_compat(args.level, w)
     return {"level": args.level, "word": format_word(w), "compatible": ok}
 
@@ -97,6 +99,9 @@ def _cmd_tower_centralizer_check(args) -> dict:
 def _cmd_abelianize(args) -> dict:
     if args.triangle is not None:
         l, m, n = args.triangle
+        # the relators x^l y^-m and y^m (xy)^-n are built from powers
+        bound = max(abs(l) + abs(m), abs(m) + 2 * abs(n))
+        words._check_length("triangle relator", bound, args.max_length)
         pres = presentations.triangle_group(l, m, n)
         inv = presentations.abelianization(pres)
         return {

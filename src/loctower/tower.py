@@ -3,6 +3,9 @@
 Level n hosts the free group on generators x_{2^n}, ..., x_{2^{n+1}-1}; the
 bonding map phi_n substitutes x_i -> [x_{2i}, x_{2i+1}].  Elements of the
 colimit group are carried as (level, word) pairs in minimal-level form.
+Every ``TowerElement`` holds a word valid at its level: the constructor
+checks it once, and kernels whose result is valid by construction wrap it
+with :func:`_element` instead of checking it again.
 
 Index convention: the doubling convention above is used everywhere.  The
 relabelled variant x_i -> [x_{2i-1}, x_{2i}] on 1-indexed generators is the
@@ -100,12 +103,11 @@ def root_transfer(n: int, w: Word, k: int) -> Word | None:
     always coincide."""
     if k == 0:
         raise ValueError("k must be nonzero")
-    validate_level_word(n, w)
     image_root = kth_root(phi(n, w), k)
     if image_root is None:
         return None
-    v = kth_root(w, k)
-    if v is None or phi(n, v) != image_root:
+    v = kth_root(w, k)  # written in w's letters, so valid at level n
+    if v is None or promote(_element(n, v), n + 1).word != image_root:
         raise AssertionError("tower: the k-th root of w does not map onto the image's root")
     return v
 
@@ -114,6 +116,8 @@ def root_transfer(n: int, w: Word, k: int) -> Word | None:
 class TowerElement:
     """Element of the colimit group as a (level, word) pair.
 
+    The word is valid at the level: construction runs
+    :func:`validate_level_word` once, so no element holds another word.
     Canonical values (as produced by :func:`normalize`) use the lowest level
     at which the element exists, so dataclass equality coincides with
     equality in the colimit group.
@@ -121,6 +125,17 @@ class TowerElement:
 
     level: int
     word: Word
+
+    def __post_init__(self) -> None:
+        validate_level_word(self.level, self.word)
+
+
+def _element(level: int, w: Word) -> TowerElement:
+    """An element whose word is known to be valid; each caller says why."""
+    e = object.__new__(TowerElement)
+    object.__setattr__(e, "level", level)
+    object.__setattr__(e, "word", w)
+    return e
 
 
 def normalize(level: int, w: Word) -> TowerElement:
@@ -131,8 +146,13 @@ def normalize(level: int, w: Word) -> TowerElement:
     lives at level 0.
     """
     validate_level_word(level, w)
+    return _strip(level, w)
+
+
+def _strip(level: int, w: Word) -> TowerElement:
+    """:func:`normalize` of a word already known to be valid at ``level``."""
     if not w:
-        return TowerElement(0, w)
+        return _element(0, w)
     letters = w.letters
     while level > 0:
         pre = _preimage_letters(letters)
@@ -140,8 +160,8 @@ def normalize(level: int, w: Word) -> TowerElement:
             break
         letters = pre
         level -= 1
-    # each preimage is reduced, as in phi_preimage
-    return TowerElement(level, w if letters is w.letters else _reduced(letters))
+    # each preimage is reduced, as in phi_preimage, and valid one level down
+    return _element(level, w if letters is w.letters else _reduced(letters))
 
 
 def _check_promotion(e: TowerElement, target: int, max_length: int | None) -> None:
@@ -165,15 +185,14 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     The result is generally not in canonical form (that is the point).
     ``max_length`` is checked once, before anything is built.
     """
-    validate_level_word(e.level, e.word)
     _check_promotion(e, target, max_length)
     letters = e.word.letters
     for _ in range(e.level, target):
         letters = _expand(letters)
     # by parity a block's last letter cancels the next block's head only in
     # x_i x_i^-1 or x_i^-1 x_i, which a reduced word does not hold, so each
-    # phi image of a reduced word is reduced
-    return TowerElement(target, _reduced(letters))
+    # phi image of a reduced word is reduced, and x_2i, x_2i+1 are one level up
+    return _element(target, _reduced(letters))
 
 
 def h_identity() -> TowerElement:
@@ -181,7 +200,7 @@ def h_identity() -> TowerElement:
 
 
 def h_inverse(e: TowerElement) -> TowerElement:
-    return TowerElement(e.level, invert(e.word))
+    return _element(e.level, invert(e.word))  # the same indices
 
 
 def h_multiply(a: TowerElement, b: TowerElement) -> TowerElement:
@@ -189,7 +208,7 @@ def h_multiply(a: TowerElement, b: TowerElement) -> TowerElement:
     level = max(a.level, b.level)
     wa = promote(a, level).word
     wb = promote(b, level).word
-    return normalize(level, multiply(wa, wb))
+    return _strip(level, multiply(wa, wb))  # written in level-`level` letters
 
 
 ROOT_FOUND = "ROOT_FOUND"
@@ -239,7 +258,7 @@ def has_p_root_in_H(
         if root is not None:
             found_levels.append(level)
             if witness is None:
-                witness = normalize(level, root)
+                witness = _strip(level, root)  # written in level-`level` letters
     # a root at any level is a root at every higher level
     if found_levels != list(levels[len(levels) - len(found_levels) :]):
         raise AssertionError("tower: a p-th root found at one level is missing at a higher one")
@@ -254,8 +273,7 @@ def centralizer_compat(n: int, w: Word) -> bool:
     primitive roots; the contract is that this always holds."""
     if not w:
         raise IdentityWordError("centralizer compatibility needs a nontrivial word")
-    validate_level_word(n, w)
-    c = centralizer_generator(w)
     c_image = centralizer_generator(phi(n, w))
-    mapped = phi(n, c)
+    c = centralizer_generator(w)  # the primitive root, written in w's letters
+    mapped = promote(_element(n, c), n + 1).word
     return mapped == c_image or mapped == invert(c_image)

@@ -1,9 +1,11 @@
 """Words are validated where they enter; kernels wrap reduced results unchecked.
 
 Every result built through ``words._reduced`` must pass the full check of
-``Word.__post_init__``.  The inputs below stress each call site's reason for
-skipping it, and an AST scan pins the set of call sites, so a new unchecked
-caller needs an edit here.
+``Word.__post_init__``, and every tower element built through
+``tower._element`` or ``tower._strip`` the level check of
+``TowerElement.__post_init__``.  The inputs below stress each call site's
+reason for skipping it, and an AST scan pins the set of call sites, so a new
+unchecked caller needs an edit here.
 """
 
 import ast
@@ -14,14 +16,18 @@ from hypothesis import strategies as st
 
 import loctower
 from loctower.adjunction import witness_nonperfect
-from loctower.roots import kth_root, primitive_root
+from loctower.roots import centralizer_generator, kth_root, primitive_root
 from loctower.tower import (
     TowerElement,
     _expand,
+    h_inverse,
+    h_multiply,
+    has_p_root_in_H,
     normalize,
     phi,
     phi_preimage,
     promote,
+    root_transfer,
 )
 from loctower.words import (
     Word,
@@ -49,6 +55,12 @@ def assert_valid(r: Word) -> None:
     """``r`` passes the constructor's full check and keeps its letters."""
     assert type(r.letters) is tuple
     assert Word(r.letters) == r, r.letters
+
+
+def assert_valid_element(e: TowerElement) -> None:
+    """``e`` passes the level check of the constructor and keeps its fields."""
+    assert_valid(e.word)
+    assert TowerElement(e.level, e.word) == e
 
 
 def conjugate(c: Word, u: Word) -> Word:
@@ -136,6 +148,37 @@ class TestTower:
             assert promote(e, level + 1).word == u
 
 
+class TestTrustedElements:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_normal_forms_promotions_and_products(self, i, j, data):
+        a = TowerElement(i, data.draw(level_words(i, 8)))
+        b = TowerElement(j, data.draw(level_words(j, 8)))
+        top = promote(a, i + 2)
+        results = [top, normalize(i, a.word), normalize(top.level, top.word), h_inverse(a)]
+        results += [h_inverse(top), h_multiply(a, b), h_multiply(top, h_inverse(a))]
+        for e in results:
+            assert_valid_element(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2), st.sampled_from([2, 3]), st.integers(0, 2), st.booleans(), st.data())
+    def test_root_witnesses_and_roots(self, level, p, k, cross_check, data):
+        """Root witnesses in both modes, always found for a p^k-th power
+        with k > 0, and the roots and centralizer generators that
+        root_transfer and centralizer_compat promote unchecked."""
+        w = data.draw(level_words(level, 6))
+        e = normalize(level, power(w, p**k))
+        cert = has_p_root_in_H(e, p, level + 2, cross_check)
+        if k:
+            assert cert.witness is not None
+        if cert.witness is not None:
+            assert_valid_element(cert.witness)
+        v = root_transfer(level, power(w, p), p)
+        assert_valid_element(TowerElement(level, v))
+        if w:
+            assert_valid_element(TowerElement(level, centralizer_generator(w)))
+
+
 def relabel_to_base(w: Word, level: int) -> Word:
     """Level-``level`` indices shifted down by 2^level - 1 onto 1..2^level."""
     offset = level_index_range(level).start - 1
@@ -170,10 +213,23 @@ UNVALIDATED_CALLERS = {
     ("roots", "primitive_root"),
     ("tower", "promote"),
     ("tower", "phi_preimage"),
-    ("tower", "normalize"),
+    ("tower", "_strip"),
     ("adjunction", "witness_nonperfect"),
 }
 NEVER_UNVALIDATED = ("cli", "stallings", "presentations")
+TRUSTED_ELEMENT_CALLERS = {
+    ("tower", "_strip"),
+    ("tower", "promote"),
+    ("tower", "h_inverse"),
+    ("tower", "root_transfer"),
+    ("tower", "centralizer_compat"),
+}
+STRIP_CALLERS = {
+    ("tower", "normalize"),
+    ("tower", "h_multiply"),
+    ("tower", "has_p_root_in_H"),
+}
+NEVER_TRUSTED_ELEMENTS = ("cli", "stallings", "presentations", "adjunction")
 
 
 def _source_trees():
@@ -193,18 +249,32 @@ def _names(node) -> set[str]:
     return out
 
 
+def _callers(name: str) -> set[tuple[str, str]]:
+    """The (module, function) pairs whose body calls ``name``."""
+    callers = set()
+    for module, tree in _source_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+                if name in set().union(*map(_names, calls)):
+                    callers.add((module, node.name))
+    return callers
+
+
 class TestUnvalidatedCallSites:
     def test_callers_of_reduced_are_pinned(self):
-        callers = set()
-        for module, tree in _source_trees().items():
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
-                    if "_reduced" in set().union(*map(_names, calls)):
-                        callers.add((module, node.name))
-        assert callers == UNVALIDATED_CALLERS
+        assert _callers("_reduced") == UNVALIDATED_CALLERS
 
     def test_entry_points_never_use_reduced(self):
         trees = _source_trees()
         for module in NEVER_UNVALIDATED:
             assert "_reduced" not in _names(trees[module]), module
+
+    def test_callers_of_trusted_elements_are_pinned(self):
+        assert _callers("_element") == TRUSTED_ELEMENT_CALLERS
+        assert _callers("_strip") == STRIP_CALLERS
+
+    def test_entry_points_never_use_trusted_elements(self):
+        trees = _source_trees()
+        for module in NEVER_TRUSTED_ELEMENTS:
+            assert not {"_element", "_strip"} & _names(trees[module]), module

@@ -689,12 +689,14 @@ ADVERSARIAL = [
     ("tower", "root", BIG, "--level", "1", "--prime", "2", "--max-level", "1"),
     ("tower", "root", "x2", "--level", "1", "--prime", "2", "--max-level", "1000000000", "--cross-check"),
     ("tower", "centralizer-check", BIG, "--level", "1"),
+    ("tower", "centralizer-check", "x2^10", "--level", "1"),
     ("adjoin", "--base-rank", "2", "--root-of", BIG, "--prime", "2", "--depth", "1"),
     (*ADJOIN_X1, "--normalize", f"t {BIG}"),
     (*ADJOIN_X1, "--normalize", "t^1000000000000"),
     ("witness", "--level", "1000000000", "--prime", "2", "--depth", "1"),
     ("prufer", "--prime", "3", "1" * 5000 + "/9", "0"),
     ("abelianize", "{file}"),
+    ("abelianize", "--triangle", "2", "3", "1000000"),
     # integer options read as integer text is everywhere
     ("--max-length", "1_000", "reduce", "x1^3"),
     ("witness", "--level", "٠", "--prime", "2", "--depth", "1"),

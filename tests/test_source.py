@@ -68,11 +68,17 @@ def test_every_import_is_used():
 
 
 def test_no_assert_statements():
-    """``python -O`` strips ``assert``; the package's self-checks raise
-    ``AssertionError`` explicitly instead, so they hold in every mode."""
+    """``python -O`` strips ``assert``; the package's and the scripts'
+    self-checks raise ``AssertionError`` explicitly instead, so they hold
+    in every mode."""
+    scripts = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    trees = dict(TREES)
+    for path in scripts:
+        trees[path.name] = ast.parse(path.read_text(encoding="utf-8"))
     found = [
         f"{module}:{node.lineno}"
-        for module, tree in TREES.items()
+        for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loctower import tower
 from loctower.roots import kth_root, primitive_root
 from loctower.tower import (
     NO_ROOT_PROVEN,
@@ -373,3 +374,63 @@ class TestPerfectnessRelation:
                 assert phi(level, Word((i,))) == commutator(
                     Word((2 * i,)), Word((2 * i + 1,))
                 )
+
+
+class TestOneLevelCheckPerElement:
+    """An element's word is checked once, when the element is made; the
+    kernels trust the elements they are given and the results they build."""
+
+    def test_construction_checks_the_word(self):
+        with pytest.raises(ValueError) as info:
+            TowerElement(5, word(1))
+        assert str(info.value) == "generator x1 is not valid at level 5 (it is a level-0 generator)"
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            TowerElement(-1, IDENTITY)
+
+    @pytest.fixture
+    def level_checks(self, monkeypatch):
+        """Run a call and count the validate_level_word calls made in tower."""
+        calls = []
+
+        def counting(n, w):
+            calls.append(n)
+            validate_level_word(n, w)
+
+        monkeypatch.setattr(tower, "validate_level_word", counting)
+
+        def count(call):
+            calls.clear()
+            call()
+            return len(calls)
+
+        return count
+
+    def test_raw_entry_points_check_once(self, level_checks):
+        top = promote(TowerElement(0, word(1)), 2).word
+        calls = [
+            lambda: TowerElement(2, top),
+            lambda: normalize(2, top),
+            lambda: normalize(0, IDENTITY),
+            lambda: phi(2, top),
+            lambda: phi_preimage(1, top),
+            lambda: root_transfer(0, word(1, 1), 2),
+            lambda: root_transfer(2, top, 2),
+            lambda: centralizer_compat(2, top),
+        ]
+        assert [level_checks(call) for call in calls] == [1] * len(calls)
+
+    @pytest.mark.parametrize("max_level", [2, 3, 7])
+    def test_kernels_check_nothing(self, level_checks, max_level):
+        a, b = TowerElement(1, word(2, 3)), TowerElement(0, word(1))
+        square = TowerElement(0, word(1, 1))
+        calls = [
+            lambda: promote(a, max_level),
+            lambda: promote(b, max_level, max_length=4**max_level),
+            lambda: h_inverse(a),
+            lambda: h_multiply(a, b),
+            lambda: h_multiply(b, h_inverse(b)),
+        ]
+        for e in (a, b, square):
+            for cross_check in (False, True):
+                calls.append(lambda e=e, c=cross_check: has_p_root_in_H(e, 2, max_level, c))
+        assert [level_checks(call) for call in calls] == [0] * len(calls)
