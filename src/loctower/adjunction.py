@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .roots import is_prime, primitive_root
-from .tower import TowerElement, _check_promotion, _expand
+from .tower import _check_promotion, _expand
 from .words import (
     IdentityWordError,
     Word,
@@ -324,12 +324,9 @@ def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) ->
     which in a free group means it has no p-th root for any p.
     """
     _check_relation(p, d)
-    _check_promotion(TowerElement(0, Word((1,))), n, max_length)
-    letters = (1,)
-    for _ in range(n):
-        letters = _expand(letters, 1)
+    _check_promotion(0, 1, n, max_length)
     # x1 is reduced, and each expansion keeps a word reduced
-    x = _reduced(letters)
+    x = _reduced(_expand((1,), n, 1))
     group = AdjunctionGroup(2**n, x, p, d)
     # the defining relator t^(p^d) * x^-1 must be trivial in the amalgam
     relator = amalgam_normalize(group, (TPower(group.relation_exponent), invert(x)))

@@ -91,7 +91,7 @@ def _cmd_tower_root(args) -> dict:
 def _cmd_tower_centralizer_check(args) -> dict:
     w = parse_word(args.word, args.max_length)
     # centralizer_compat builds phi(w), of 4|w| letters
-    tower._check_promotion(tower.TowerElement(args.level, w), args.level + 1, args.max_length)
+    tower._check_promotion(args.level, len(w), args.level + 1, args.max_length)
     ok = tower.centralizer_compat(args.level, w)
     return {"level": args.level, "word": format_word(w), "compatible": ok}
 

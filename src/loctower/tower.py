@@ -5,7 +5,9 @@ bonding map phi_n substitutes x_i -> [x_{2i}, x_{2i+1}].  Elements of the
 colimit group are carried as (level, word) pairs in minimal-level form.
 Every ``TowerElement`` holds a word valid at its level: the constructor
 checks it once, and kernels whose result is valid by construction wrap it
-with :func:`_element` instead of checking it again.
+with :func:`_element` instead of checking it again.  :func:`normalize`
+strips first and checks only the stripped word: k levels of phi add k bits
+to every index.  Promotion and stripping read a word a fixed number of times.
 
 Index convention: the doubling convention above is used everywhere.  The
 relabelled variant x_i -> [x_{2i-1}, x_{2i}] on 1-indexed generators is the
@@ -40,38 +42,53 @@ def validate_level_word(n: int, w: Word) -> None:
     )
 
 
-def _expand(letters: tuple[int, ...], shift: int = 0) -> tuple[int, ...]:
-    """Letters of phi, x_i -> (j, j+1, -j, -j-1) and x_i^-1 -> (j+1, j, -j-1,
-    -j) with j = 2i - shift, through one table entry per distinct letter.
-    ``shift=0`` is the doubling convention, ``shift=1`` the relabelled one
-    x_a -> [x_{2a-1}, x_{2a}] on base labels 1..2^n."""
-    table = {}
-    for l in set(letters):
-        i = 2 * abs(l) - shift
-        block = (i, i + 1, -i, -i - 1)
-        table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
+def _expand(letters: tuple[int, ...], levels: int = 1, shift: int = 0) -> tuple[int, ...]:
+    """Letters of phi applied ``levels`` times: x_i -> (j, j+1, -j, -j-1)
+    and x_i^-1 -> (j+1, j, -j-1, -j) with j = 2i - shift.  ``shift=0`` is
+    the doubling convention, ``shift=1`` the relabelled one x_a ->
+    [x_{2a-1}, x_{2a}] on base labels 1..2^n.  Only the distinct letters
+    are expanded level by level, into one 4^levels-letter block each; the
+    word is then read once, through a table of those blocks."""
+    distinct = tuple(set(letters))
+    flat = distinct
+    for _ in range(levels):
+        table = {}
+        for l in set(flat):
+            i = 2 * abs(l) - shift
+            block = (i, i + 1, -i, -i - 1)
+            table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
+        flat = tuple(chain.from_iterable(map(table.__getitem__, flat)))
+    if len(letters) == 1:  # the word is its one letter's block
+        return flat
+    if levels != 1:  # after one level, the table holds the blocks
+        size = 4**levels
+        table = {l: flat[j * size : (j + 1) * size] for j, l in enumerate(distinct)}
     return tuple(chain.from_iterable(map(table.__getitem__, letters)))
 
 
-def _preimage_letters(letters: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The letters whose :func:`_expand` is ``letters``, or None.
+def _decode_heads(letters: tuple[int, ...], levels: int) -> tuple[int, tuple[int, ...]]:
+    """(k, c): the 4-letter block heads of ``letters`` read down k <=
+    ``levels`` times, c being the only word whose k-fold :func:`_expand`
+    can be ``letters``.  A head a names x_(a/2) when even, x_((a-1)/2)^-1
+    when odd and no letter when a < 2; reading stops there, or at a length
+    that is not a multiple of 4."""
+    k = 0
+    while k < levels and len(letters) % 4 == 0:
+        heads = letters[0::4]
+        decode = {a: a >> 1 if a % 2 == 0 else -(a >> 1) for a in set(heads)}
+        if min(decode, default=2) < 2:
+            break
+        letters = tuple(map(decode.__getitem__, heads))
+        k += 1
+    return k, letters
 
-    The head a of each 4-letter block names the only candidate letter: a
-    even means x_(a/2), a odd means x_((a-1)/2)^-1, and a < 2 means none.
-    Re-expanding the candidates and comparing settles the rest.  A match
+
+def _preimage_letters(letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The letters whose :func:`_expand` is ``letters``, or None.  A match
     is freely reduced whenever ``letters`` is, because x_i x_i^-1 expands
-    to blocks that cancel at their join.
-    """
-    if len(letters) % 4:
-        return None
-    heads = letters[0::4]
-    decode = {}
-    for a in set(heads):
-        if a < 2:
-            return None
-        decode[a] = a >> 1 if a % 2 == 0 else -(a >> 1)
-    pre = tuple(map(decode.__getitem__, heads))
-    return pre if _expand(pre) == letters else None
+    to blocks that cancel at their join."""
+    k, pre = _decode_heads(letters, 1)
+    return pre if k and _expand(pre) == letters else None
 
 
 def phi(n: int, w: Word, max_length: int | None = None) -> Word:
@@ -106,8 +123,8 @@ def root_transfer(n: int, w: Word, k: int) -> Word | None:
     image_root = kth_root(phi(n, w), k)
     if image_root is None:
         return None
-    v = kth_root(w, k)  # written in w's letters, so valid at level n
-    if v is None or promote(_element(n, v), n + 1).word != image_root:
+    v = kth_root(w, k)
+    if v is None or _expand(v.letters) != image_root.letters:
         raise AssertionError("tower: the k-th root of w does not map onto the image's root")
     return v
 
@@ -141,40 +158,50 @@ def _element(level: int, w: Word) -> TowerElement:
 def normalize(level: int, w: Word) -> TowerElement:
     """Minimal-level representative: strip phi-preimages until none exists.
 
-    The preimage of a level-n word lies at level n - 1, so only the input
-    is checked, and only the final letters become a Word.  The identity
-    lives at level 0.
+    The word is stripped first, then checked once: an exact k-fold image
+    is valid at level n exactly when its preimage is valid at level n - k,
+    because each level adds one bit to every index.  Only a failed check
+    reads the input again, to name its first offender at the input level.
+    The identity lives at level 0.
     """
-    validate_level_word(level, w)
-    return _strip(level, w)
+    e = _strip(level, w)
+    try:
+        validate_level_word(e.level if w else level, e.word)
+    except ValueError:
+        validate_level_word(level, w)
+        raise
+    return e
 
 
 def _strip(level: int, w: Word) -> TowerElement:
-    """:func:`normalize` of a word already known to be valid at ``level``."""
+    """:func:`normalize` without the check.  The block heads are read down
+    as far as they go, and one expansion of the lowest candidate checks
+    them all; heads that read further down than the word strips fall back
+    to peeling one level at a time."""
     if not w:
         return _element(0, w)
     letters = w.letters
-    while level > 0:
-        pre = _preimage_letters(letters)
-        if pre is None:
-            break
-        letters = pre
-        level -= 1
-    # each preimage is reduced, as in phi_preimage, and valid one level down
-    return _element(level, w if letters is w.letters else _reduced(letters))
+    k, pre = _decode_heads(letters, level)
+    if k and _expand(pre, k) != letters:
+        depth, k, pre = k, 0, letters  # w is not a depth-fold image
+        while k + 1 < depth and (down := _preimage_letters(pre)) is not None:
+            k, pre = k + 1, down
+    # reduced as in phi_preimage; valid k levels down when w is valid at level
+    return _element(level - k, _reduced(pre) if k else w)
 
 
-def _check_promotion(e: TowerElement, target: int, max_length: int | None) -> None:
-    """Refuse a ``target`` below ``e``'s level, and a promotion to ``target``
-    that gives more than ``max_length`` letters, the identity counting as
-    one.  Each level multiplies the length by 4, so 4^k * m is compared by
-    bit length first and a huge k costs nothing."""
-    k, m = target - e.level, max(len(e.word), 1)
+def _check_promotion(level: int, length: int, target: int, max_length: int | None) -> None:
+    """Refuse a ``target`` below ``level``, and a promotion of a
+    ``length``-letter word to ``target`` that gives more than
+    ``max_length`` letters, the identity counting as one.  Each level
+    multiplies the length by 4, so 4^k * m is compared by bit length first
+    and a huge k costs nothing."""
+    k, m = target - level, max(length, 1)
     if k < 0:
-        raise ValueError(f"target level {target} is below current level {e.level}")
+        raise ValueError(f"target level {target} is below current level {level}")
     if max_length is not None and (2 * k > max_length.bit_length() or m << 2 * k > max_length):
         raise LengthLimitError(
-            f"promotion from level {e.level} to {target} would give 4^{k}*{m} letters "
+            f"promotion from level {level} to {target} would give 4^{k}*{m} letters "
             f"(limit {max_length})"
         )
 
@@ -183,16 +210,15 @@ def promote(e: TowerElement, target: int, max_length: int | None = None) -> Towe
     """Apply phi repeatedly; same colimit element, higher-level word.
 
     The result is generally not in canonical form (that is the point).
-    ``max_length`` is checked once, before anything is built.
+    ``max_length`` is checked once, before the levels are expanded in one pass.
     """
-    _check_promotion(e, target, max_length)
-    letters = e.word.letters
-    for _ in range(e.level, target):
-        letters = _expand(letters)
+    _check_promotion(e.level, len(e.word), target, max_length)
+    if target == e.level:
+        return e
     # by parity a block's last letter cancels the next block's head only in
     # x_i x_i^-1 or x_i^-1 x_i, which a reduced word does not hold, so each
     # phi image of a reduced word is reduced, and x_2i, x_2i+1 are one level up
-    return _element(target, _reduced(letters))
+    return _element(target, _reduced(_expand(e.word.letters, target - e.level)))
 
 
 def h_identity() -> TowerElement:
@@ -251,7 +277,7 @@ def has_p_root_in_H(
     if max_level < e.level:
         raise ValueError("max_level must be at least the element's level")
     levels = range(e.level, (max_level if cross_check else e.level) + 1)
-    _check_promotion(e, levels[-1], max_length)
+    _check_promotion(e.level, len(e.word), levels[-1], max_length)
     witness, found_levels = None, []
     for level in levels:
         root = kth_root(promote(e, level).word, p)
@@ -274,6 +300,5 @@ def centralizer_compat(n: int, w: Word) -> bool:
     if not w:
         raise IdentityWordError("centralizer compatibility needs a nontrivial word")
     c_image = centralizer_generator(phi(n, w))
-    c = centralizer_generator(w)  # the primitive root, written in w's letters
-    mapped = promote(_element(n, c), n + 1).word
-    return mapped == c_image or mapped == invert(c_image)
+    mapped = _expand(centralizer_generator(w).letters)
+    return mapped == c_image.letters or mapped == invert(c_image).letters

@@ -17,8 +17,8 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, eq, neg
+from itertools import compress, islice
+from operator import add, eq, itemgetter, neg
 from typing import Iterable, Sequence
 
 
@@ -237,14 +237,16 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
 def format_word(w: Word, symbol: str = "x") -> str:
     """Render a word in the text syntax, e.g. ``x1*x2^-1``; identity is ``1``.
 
-    Each letter is named through a table; only the runs of a repeated
-    letter (found where a letter equals its successor) are rewritten as one
-    power.
+    Each letter is named through a table.  A word with no letter equal to
+    its successor is joined straight from it; otherwise only the runs of a
+    repeated letter are rewritten as one power.
     """
     letters = w.letters
     if not letters:
         return "1"
     names = {l: f"{symbol}{l}" if l > 0 else f"{symbol}{-l}^-1" for l in set(letters)}
+    if len(letters) > 1 and not any(map(eq, letters, islice(letters, 1, None))):
+        return "*".join(itemgetter(*letters)(names))  # two or more keys give a tuple
     parts: list[str | None] = list(map(names.__getitem__, letters))
     runs: dict[int, int] = {}  # first index of a run -> its length
     start = last = -2
@@ -257,7 +259,7 @@ def format_word(w: Word, symbol: str = "x") -> str:
     for start, run in runs.items():
         l = letters[start]
         parts[start] = f"{symbol}{l}^{run}" if l > 0 else f"{symbol}{-l}^{-run}"
-    return "*".join(filter(None, parts) if runs else parts)
+    return "*".join(filter(None, parts))
 
 
 # Python refuses int() on strings of more than 4,300 digits by default

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import chain
 
 from hypothesis import strategies as st
 
 from loctower.presentations import AbelianInvariants, Presentation, relation_matrix, smith_normal_form
 from loctower.roots import primitive_root
-from loctower.tower import TowerElement, promote, validate_level_word
+from loctower.tower import TowerElement, validate_level_word
 from loctower.words import (
     IDENTITY,
     MAX_INTEGER_DIGITS,
@@ -309,11 +310,63 @@ def oracle_phi_preimage(n: int, u: Word) -> Word | None:
     return Word(tuple(out))
 
 
+# Reference tower kernels that cross one phi level per pass, with full
+# checks in place of the library's trusted wrappers: the one-level
+# expansion and preimage, promotion and stripping.
+
+
+def oracle_expand(letters: tuple[int, ...], shift: int = 0) -> tuple[int, ...]:
+    """Letters of phi, x_i -> (j, j+1, -j, -j-1) and x_i^-1 -> (j+1, j, -j-1,
+    -j) with j = 2i - shift, through one table entry per distinct letter."""
+    table = {}
+    for l in set(letters):
+        i = 2 * abs(l) - shift
+        block = (i, i + 1, -i, -i - 1)
+        table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
+    return tuple(chain.from_iterable(map(table.__getitem__, letters)))
+
+
+def _oracle_preimage_letters(letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The letters whose one-level expansion is ``letters``, or None."""
+    if len(letters) % 4:
+        return None
+    heads = letters[0::4]
+    decode = {}
+    for a in set(heads):
+        if a < 2:
+            return None
+        decode[a] = a >> 1 if a % 2 == 0 else -(a >> 1)
+    pre = tuple(map(decode.__getitem__, heads))
+    return pre if oracle_expand(pre) == letters else None
+
+
+def oracle_promote(e: TowerElement, target: int) -> TowerElement:
+    """``promote`` by one phi level per pass (no length budget)."""
+    letters = e.word.letters
+    for _ in range(e.level, target):
+        letters = oracle_expand(letters)
+    return TowerElement(target, Word(letters))
+
+
+def oracle_strip(level: int, w: Word) -> TowerElement:
+    """``normalize`` of a word valid at ``level``, one preimage per pass."""
+    if not w:
+        return TowerElement(0, w)
+    letters = w.letters
+    while level > 0:
+        pre = _oracle_preimage_letters(letters)
+        if pre is None:
+            break
+        letters = pre
+        level -= 1
+    return TowerElement(level, Word(letters))
+
+
 def oracle_distinguished_word(n: int) -> Word:
     """x1 promoted to level n by the doubling convention, then every index
     shifted down by 2^n - 1 onto the base labels 1..2^n."""
     offset = 2**n - 1
-    top = promote(TowerElement(0, Word((1,))), n).word
+    top = oracle_promote(TowerElement(0, Word((1,))), n).word
     return Word(tuple(l - offset if l > 0 else l + offset for l in top.letters))
 
 

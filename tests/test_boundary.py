@@ -20,6 +20,7 @@ from loctower.roots import centralizer_generator, kth_root, primitive_root
 from loctower.tower import (
     TowerElement,
     _expand,
+    centralizer_compat,
     h_inverse,
     h_multiply,
     has_p_root_in_H,
@@ -47,6 +48,7 @@ from conftest import (
     nonempty_words_strategy,
     oracle_distinguished_word,
     oracle_phi_preimage,
+    oracle_promote,
     words_strategy,
 )
 
@@ -165,7 +167,7 @@ class TestTrustedElements:
     def test_root_witnesses_and_roots(self, level, p, k, cross_check, data):
         """Root witnesses in both modes, always found for a p^k-th power
         with k > 0, and the roots and centralizer generators that
-        root_transfer and centralizer_compat promote unchecked."""
+        root_transfer and centralizer_compat expand unchecked."""
         w = data.draw(level_words(level, 6))
         e = normalize(level, power(w, p**k))
         cert = has_p_root_in_H(e, p, level + 2, cross_check)
@@ -177,6 +179,23 @@ class TestTrustedElements:
         assert_valid_element(TowerElement(level, v))
         if w:
             assert_valid_element(TowerElement(level, centralizer_generator(w)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 4), st.data())
+    def test_root_and_centralizer_images_of_conjugated_powers(self, level, k, data):
+        """root_transfer and centralizer_compat compare the raw expansion
+        of a root with the image's root, without making an element; on
+        conjugated powers, where roots and generators carry a conjugator,
+        both agree with the checked one-level-per-pass promotion."""
+        c, u = data.draw(level_words(level, 4)), data.draw(level_words(level, 4))
+        w = conjugate(c, power(u, k))
+        image = phi(level, w)
+        v = root_transfer(level, w, k)
+        assert oracle_promote(TowerElement(level, v), level + 1).word == kth_root(image, k)
+        if w:
+            assert centralizer_compat(level, w)
+            mapped = oracle_promote(TowerElement(level, centralizer_generator(w)), level + 1).word
+            assert mapped in (centralizer_generator(image), invert(centralizer_generator(image)))
 
 
 def relabel_to_base(w: Word, level: int) -> Word:
@@ -191,7 +210,7 @@ class TestAdjunction:
         """The base-label expansion of a relabelled word is phi's image
         relabelled one level up."""
         w = data.draw(level_words(level, 16))
-        r = Word(_expand(relabel_to_base(w, level).letters, 1))
+        r = Word(_expand(relabel_to_base(w, level).letters, shift=1))
         assert_valid(r)
         assert max_index(r) <= 2 ** (level + 1)
         assert r == relabel_to_base(phi(level, w), level + 1)
@@ -221,8 +240,6 @@ TRUSTED_ELEMENT_CALLERS = {
     ("tower", "_strip"),
     ("tower", "promote"),
     ("tower", "h_inverse"),
-    ("tower", "root_transfer"),
-    ("tower", "centralizer_compat"),
 }
 STRIP_CALLERS = {
     ("tower", "normalize"),

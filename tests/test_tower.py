@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loctower import tower
+from loctower import adjunction, tower
+from loctower.adjunction import witness_nonperfect
+from loctower.cli import run
 from loctower.roots import kth_root, primitive_root
 from loctower.tower import (
     NO_ROOT_PROVEN,
@@ -43,7 +45,11 @@ from conftest import (
     level_index_range,
     level_letters,
     level_words,
+    oracle_distinguished_word,
+    oracle_expand,
     oracle_phi_preimage,
+    oracle_promote,
+    oracle_strip,
     random_nonempty_word,
     random_word,
 )
@@ -389,11 +395,12 @@ class TestOneLevelCheckPerElement:
 
     @pytest.fixture
     def level_checks(self, monkeypatch):
-        """Run a call and count the validate_level_word calls made in tower."""
+        """Run a call and count the validate_level_word calls made in tower;
+        ``count.calls`` then holds the (level, word length) of each."""
         calls = []
 
         def counting(n, w):
-            calls.append(n)
+            calls.append((n, len(w)))
             validate_level_word(n, w)
 
         monkeypatch.setattr(tower, "validate_level_word", counting)
@@ -403,6 +410,7 @@ class TestOneLevelCheckPerElement:
             call()
             return len(calls)
 
+        count.calls = calls
         return count
 
     def test_raw_entry_points_check_once(self, level_checks):
@@ -434,3 +442,181 @@ class TestOneLevelCheckPerElement:
             for cross_check in (False, True):
                 calls.append(lambda e=e, c=cross_check: has_p_root_in_H(e, 2, max_level, c))
         assert [level_checks(call) for call in calls] == [0] * len(calls)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_normalize_checks_the_stripped_word_once(self, level_checks, k):
+        w = promote(TowerElement(3, word(8, 9, -10)), 3 + k).word
+        assert level_checks(lambda: normalize(3 + k, w)) == 1
+        assert level_checks.calls == [(3, 3)]
+
+    def test_centralizer_check_command_checks_once(self, level_checks, capsys):
+        argv = ["tower", "centralizer-check", "x4*x5^2*x7", "--level", "2"]
+        assert level_checks(lambda: run(argv)) == 1
+        assert level_checks.calls == [(2, 4)]
+        assert "compatible=true" in capsys.readouterr().out
+
+    def test_witness_builds_no_element(self, level_checks):
+        assert level_checks(lambda: witness_nonperfect(4, 3, 2)) == 0
+
+
+def near_miss_image(c: Word, level: int, levels: int) -> Word:
+    """c expanded ``levels`` times, then its last letter negated: the block
+    heads are those of the image, but the last block has the wrong shape,
+    so the word is no image at all."""
+    u = oracle_promote(TowerElement(level, c), level + levels).word.letters
+    return Word(u[:-1] + (-u[-1],))
+
+
+class TestOnePassKernelsMatchPerLevelOracles:
+    """Promotion through one block table and stripping by reading the heads
+    down, then checking once, agree with the kernels that crossed one level
+    per pass (``oracle_promote``, ``oracle_strip``) on levels 0-7."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 7), st.data())
+    def test_promote(self, base, data):
+        target = data.draw(st.integers(base, 7))
+        e = TowerElement(base, data.draw(level_words(base, 4)))
+        assert promote(e, target) == oracle_promote(e, target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_normalize(self, base, data):
+        """Full strips, partial strips, near misses anywhere or inside a
+        block, products with a short top, random words and the identity."""
+        level = data.draw(st.integers(base, 7))
+        c = data.draw(level_words(base, 5))
+        image = oracle_promote(TowerElement(base, c), level).word
+        letters = list(image.letters)
+        inputs = [image, Word(), data.draw(level_words(level, 12))]
+        inputs.append(multiply(image, data.draw(level_words(level, 8))))
+        if letters:
+            i = data.draw(st.integers(0, len(letters) - 1))
+            replaced = letters[:]
+            replaced[i] = data.draw(level_letters(level))
+            inputs.append(reduce(replaced))
+            # a non-head letter negated keeps every block head
+            j = data.draw(st.integers(0, len(letters) - 1))
+            if j % 4:
+                letters[j] = -letters[j]
+                inputs.append(reduce(letters))
+        if c and level > base:
+            mid = data.draw(st.integers(base + 1, level))
+            miss = near_miss_image(c, base, mid - base)
+            inputs.append(oracle_promote(TowerElement(mid, miss), level).word)
+        for u in inputs:
+            assert normalize(level, u) == oracle_strip(level, u), (level, u)
+
+    @pytest.mark.parametrize("depth", range(1, 5))
+    def test_heads_that_read_further_down_than_the_word_strips(self, depth):
+        """Every block head reads down ``depth`` levels, but the bottom
+        check fails: the near miss sits ``depth - j`` levels up, so the
+        word strips exactly j levels."""
+        c = word(8, 9, -10)  # three letters: the heads stop reading here
+        for j in range(depth):
+            miss = near_miss_image(c, 3, depth - j)
+            w = oracle_promote(TowerElement(3 + depth - j, miss), 3 + depth).word
+            assert normalize(3 + depth, w) == TowerElement(3 + depth - j, miss)
+            assert normalize(3 + depth, w) == oracle_strip(3 + depth, w)
+
+    def test_promoted_word_times_a_short_top(self):
+        """Tops that keep len % 4 == 0 and every head decodable: the heads
+        read down one level, or three (a 16-letter near miss), before the
+        bottom check fails, and nothing strips."""
+        image = oracle_promote(TowerElement(5, word(32, 33, -34)), 7).word
+        tops = [(word(200, 201, -200, 201), 1), (word(202, 203, 204, 205), 1)]
+        tops.append((near_miss_image(word(40), 5, 2), 3))
+        for top, depth in tops:
+            w = multiply(image, top)
+            assert len(w) == len(image) + len(top)
+            assert tower._decode_heads(w.letters, 7)[0] == depth
+            assert normalize(7, w) == oracle_strip(7, w) == TowerElement(7, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_invalid_expansions_name_the_inputs_first_offender(self, level, data):
+        """An exact k-fold expansion of an invalid word is refused with the
+        message the input's own check gives, at the input level."""
+        k = data.draw(st.integers(0, level))
+        wrong = data.draw(st.sampled_from([l for l in (level - k - 1, level - k + 1) if l >= 0]))
+        mixed = st.one_of(level_letters(level - k), level_letters(wrong))
+        letters = reduce(data.draw(st.lists(mixed, min_size=1, max_size=6))).letters
+        for _ in range(k):
+            letters = oracle_expand(letters)
+        w = Word(letters)
+        if not w or all(abs(l).bit_length() == level + 1 for l in letters):
+            return
+        with pytest.raises(ValueError) as expected:
+            validate_level_word(level, w)
+        with pytest.raises(ValueError) as info:
+            normalize(level, w)
+        assert str(info.value) == str(expected.value)
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            normalize(-1, w)
+
+    def test_invalid_expansion_example(self):
+        w = Word(oracle_expand(oracle_expand((8, 4))))  # x4 is a level-2 generator
+        with pytest.raises(ValueError) as info:
+            normalize(5, w)
+        assert str(info.value) == "generator x16 is not valid at level 5 (it is a level-4 generator)"
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            normalize(-1, IDENTITY)
+
+    def test_relabelled_expansion_is_the_distinguished_word(self):
+        for n in range(8):
+            assert Word(tower._expand((1,), n, shift=1)) == oracle_distinguished_word(n)
+
+
+class TestOnePass:
+    """Each kernel reads a word a fixed number of times, however many
+    levels it crosses."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """Run a call and list the (levels, letters out) of each expansion
+        made in tower and adjunction."""
+        calls = []
+        expand = tower._expand
+
+        def counting(letters, levels=1, shift=0):
+            out = expand(letters, levels, shift)
+            calls.append((levels, len(out)))
+            return out
+
+        monkeypatch.setattr(tower, "_expand", counting)
+        monkeypatch.setattr(adjunction, "_expand", counting)
+
+        def record(call):
+            calls.clear()
+            call()
+            return list(calls)
+
+        return record
+
+    @pytest.mark.parametrize("gap", range(1, 8))
+    def test_a_promotion_expands_once(self, expansions, gap):
+        e = TowerElement(1, word(2, -3, 2))
+        assert expansions(lambda: promote(e, 1 + gap)) == [(gap, 3 * 4**gap)]
+        assert expansions(lambda: witness_nonperfect(gap, 2, 1)) == [(gap, 4**gap)]
+        assert expansions(lambda: promote(e, 1)) == []
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_a_full_strip_expands_once(self, expansions, k):
+        w = promote(TowerElement(3, word(8, 9, -10)), 3 + k).word
+        assert expansions(lambda: normalize(3 + k, w)) == [(k, len(w))]
+
+    def test_heads_that_name_no_letter_are_not_expanded(self, expansions):
+        for w in (word(-8, 9, 10, 11), word(8, 9, -8, -9, -10, 11, 10, -11)):
+            assert expansions(lambda: normalize(3, w)) == []
+
+    @pytest.mark.parametrize("depth", range(1, 6))
+    def test_a_failed_bottom_check_reads_a_fixed_number_of_times(self, expansions, depth):
+        """One full expansion, then one-level checks on words that shrink
+        by 4 each level: under 2.5 times the word's length in all."""
+        for j in range(depth):
+            miss = near_miss_image(word(8, 9, -10), 3, depth - j)
+            w = promote(TowerElement(3 + depth - j, miss), 3 + depth).word
+            calls = expansions(lambda: normalize(3 + depth, w))
+            assert calls[0] == (depth, len(w))
+            assert all(levels == 1 for levels, _ in calls[1:])
+            assert sum(n for _, n in calls) < 2.5 * len(w)

@@ -232,6 +232,35 @@ class TestTextSyntax:
             assert max_index(u) == max(abs(l) for l in u.letters)
             assert support(u) == frozenset(abs(l) for l in u.letters)
 
+    @pytest.mark.parametrize(
+        "letters,text",
+        [
+            ((1, 1, 2), "x1^2*x2"),  # a run at the first position
+            ((2, -1, -1), "x2*x1^-2"),  # a run at the last position
+            ((-3, -3, -3), "x3^-3"),  # the word is one run
+            ((1, 1, 2, 2, 2, -1), "x1^2*x2^3*x1^-1"),  # two adjacent runs
+            ((5,), "x5"),
+            ((-5,), "x5^-1"),
+            ((4, -7, 4, 7), "x4*x7^-1*x4*x7"),  # no run
+        ],
+    )
+    def test_runs_at_every_position(self, letters, text):
+        w = Word(letters)
+        assert format_word(w) == oracle_format_word(w) == text
+        assert format_word(w, symbol="y") == oracle_format_word(w, "y") == text.replace("x", "y")
+
+    @pytest.mark.parametrize("symbol", ["x", "y"])
+    def test_promoted_words_without_and_with_a_run(self, symbol):
+        """A 32,768-letter promoted word has no letter equal to its
+        successor; a run spliced in at the start, the middle or the end
+        turns it into a word with one run."""
+        x = promote(TowerElement(1, word(2, -3)), 8).word.letters
+        assert len(x) == 32_768 and not any(a == b for a, b in zip(x, x[1:]))
+        mid = len(x) // 2
+        for letters in (x, x[:1] + x, x[:mid] + x[mid - 1 : mid] * 3 + x[mid:], x + x[-1:]):
+            w = Word(letters)
+            assert format_word(w, symbol=symbol) == oracle_format_word(w, symbol=symbol)
+
     @given(words_strategy(rank=12, max_len=20))
     def test_round_trip(self, w):
         assert parse_word(format_word(w)) == w
