@@ -10,25 +10,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from loctower.adjunction import witness_nonperfect
+from loctower.cli import DEFAULT_MAX_LENGTH, _integer_option
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--level", type=int, default=2, help="tower level (default 2)")
-    parser.add_argument(
-        "--primes", type=int, nargs="+", default=[2, 3, 5], metavar="P"
-    )
-    parser.add_argument("--max-depth", type=int, default=3, metavar="D")
+    parser.add_argument("--level", type=_integer_option, default=2, help="tower level (default 2)")
+    parser.add_argument("--primes", type=_integer_option, nargs="+", default=[2, 3, 5], metavar="P")
+    parser.add_argument("--max-depth", type=_integer_option, default=3, metavar="D")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    rows = [
-        witness_nonperfect(args.level, p, d).to_dict()
-        for p in args.primes
-        for d in range(1, args.max_depth + 1)
-    ]
+    try:
+        rows = [
+            witness_nonperfect(args.level, p, d, DEFAULT_MAX_LENGTH).to_dict()
+            for p in args.primes
+            for d in range(1, args.max_depth + 1)
+        ]
+    except ValueError as exc:  # a refusal, as loctower reports it
+        sys.exit(f"error: {exc}")
     if args.json:
         print(json.dumps(rows, indent=2))
         return

@@ -26,6 +26,7 @@ from .words import (
     Word,
     WordSyntaxError,
     _cancellation,
+    _check_length,
     _conjugator_length,
     _integer,
     _reduced,
@@ -194,15 +195,26 @@ def amalgam_identity(group: AdjunctionGroup) -> AmalgamElement:
 
 
 def amalgam_normalize(
-    group: AdjunctionGroup, expression: Sequence[Word | TPower]
+    group: AdjunctionGroup, expression: Sequence[Word | TPower], max_length: int | None = None
 ) -> AmalgamElement:
     """Normal form of a product of base words and t-powers.
 
     Deterministic; t^(p^depth) is absorbed into the base via the defining
-    relation and trivial syllables vanish.
+    relation and trivial syllables vanish.  Each normal form met on the
+    way, the result too, and each power of x built on the way has at most
+    B letters, B = sum(|w| + 2|x|) over base words w plus
+    |x| * sum(|e| // p^d + 1) over t-powers t^e: t^e moves at most
+    |e| // p^d + 1 powers of x into the tail, splitting a syllable into a
+    coset representative and a power of x adds at most |x|, and the coset
+    search builds powers of x at most 2|x| past the syllable.  A B above
+    ``max_length`` is refused before anything is built.
     """
     x = group.root_of
     q = group.relation_exponent
+    if max_length is not None:
+        bases = [len(i) + 2 * len(x) for i in expression if isinstance(i, Word)]
+        shifts = [abs(i.exponent) // q + 1 for i in expression if isinstance(i, TPower)]
+        _check_length("normal form bound", sum(bases) + len(x) * sum(shifts), max_length)
     syllables: list[Word | TPower] = []
     tail = 0
 

@@ -18,6 +18,8 @@ import warnings
 from . import adjunction, presentations, roots, stallings, tower, words
 from .words import format_word, parse_word
 
+DEFAULT_MAX_LENGTH = 10**6  # --max-length, and the budget of the scripts
+
 
 def _cmd_reduce(args) -> dict:
     w = parse_word(args.word, args.max_length)
@@ -90,49 +92,44 @@ def _cmd_tower_root(args) -> dict:
 
 def _cmd_tower_centralizer_check(args) -> dict:
     w = parse_word(args.word, args.max_length)
-    # centralizer_compat builds phi(w), of 4|w| letters
-    tower._check_promotion(args.level, len(w), args.level + 1, args.max_length)
-    ok = tower.centralizer_compat(args.level, w)
+    ok = tower.centralizer_compat(args.level, w, args.max_length)
     return {"level": args.level, "word": format_word(w), "compatible": ok}
 
 
 def _cmd_abelianize(args) -> dict:
     if args.triangle is not None:
-        l, m, n = args.triangle
-        # the relators x^l y^-m and y^m (xy)^-n are built from powers
-        bound = max(abs(l) + abs(m), abs(m) + 2 * abs(n))
-        words._check_length("triangle relator", bound, args.max_length)
-        pres = presentations.triangle_group(l, m, n)
-        inv = presentations.abelianization(pres)
-        return {
-            "abelianization": presentations.format_abelian_invariants(inv),
-            "finite": presentations.triangle_is_finite(l, m, n),
-        }
-    if args.file is None:
+        pres = presentations.triangle_group(*args.triangle, args.max_length)
+    elif args.file is None:
         raise ValueError("provide a presentation file or --triangle l m n")
-    with open(args.file, "r", encoding="utf-8") as handle:
-        pres = presentations.parse_presentation(handle.read(), args.max_length)
+    else:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            pres = presentations.parse_presentation(handle.read(), args.max_length)
     inv = presentations.abelianization(pres)
-    return {
-        "abelianization": presentations.format_abelian_invariants(inv),
-        "perfect": inv.is_trivial(),
-    }
+    out = {"abelianization": presentations.format_abelian_invariants(inv)}
+    if args.triangle is not None:
+        out["finite"] = presentations.triangle_is_finite(*args.triangle)
+    else:
+        out["perfect"] = inv.is_trivial()
+    return out
 
 
 def _parse_amalgam_expression(text: str, limit: int) -> list:
-    """Split an adjunction expression into base words and t-powers.
-
-    Factors are separated by ``*`` or whitespace; ``t`` and ``t^j`` denote
-    powers of the adjoined root generator.
-    """
-    items = []
-    for chunk in text.replace("*", " ").split():
-        if chunk == "t":
-            items.append(adjunction.TPower(1))
-        elif chunk.startswith("t^"):
-            items.append(adjunction.TPower(words._integer(chunk, 2)))
-        else:
-            items.append(parse_word(chunk, limit))
+    """Split an adjunction expression at ``t`` and ``t^j``, set off by blanks
+    or ``*``; the text between two of them is one base word.  Columns count
+    in the whole expression."""
+    text = re.sub(r"\s", " ", text)  # each blank str.split sees, column for column
+    items, start = [], 0
+    for i, piece in enumerate(re.split(r"(?<![^ *])(t(?:\^[^ *]*)?)(?![^ *])", text)):
+        if i % 2:  # a t-power
+            j = 1 if piece == "t" else words._integer(text, start + 2, start + len(piece))
+            items.append(adjunction.TPower(j))
+        elif piece.strip(" *"):
+            try:
+                items.append(parse_word(piece, limit))
+            except ValueError:  # parsed again behind blanks, for columns in the whole text
+                parse_word(" " * start + piece, limit)
+                raise
+        start += len(piece)
     return items
 
 
@@ -153,19 +150,7 @@ def _cmd_adjoin(args) -> dict:
         out["rebased_from"] = format_word(root_of)
     if args.normalize is not None:
         expr = _parse_amalgam_expression(args.normalize, args.max_length)
-        # Refuse before any long word is built.  Each normal form met while
-        # normalizing, the printed one too, and each power of x built on the
-        # way has at most B letters, B = sum(|w| + 2|x|) over base words w
-        # plus |x| * sum(|e| // p^d + 1) over t-powers t^e: t^e moves at most
-        # |e| // p^d + 1 powers of x into the tail, splitting a syllable into
-        # a coset representative and a power of x adds at most |x|, and the
-        # coset search builds powers of x at most 2|x| past the syllable.
-        x, q = len(group.root_of), group.relation_exponent
-        bases = [len(i) for i in expr if isinstance(i, words.Word)]
-        t_powers = [abs(i.exponent) for i in expr if isinstance(i, adjunction.TPower)]
-        bound = sum(bases) + 2 * x * len(bases) + x * sum(e // q + 1 for e in t_powers)
-        words._check_length("normal form bound", bound, args.max_length)
-        element = adjunction.amalgam_normalize(group, expr)
+        element = adjunction.amalgam_normalize(group, expr, args.max_length)
         out["normal_form"] = str(element)
         out["prufer_image"] = str(adjunction.prufer_quotient_map(group, element))
     return out
@@ -200,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-length",
         type=_integer_option,
-        default=10**6,
+        default=DEFAULT_MAX_LENGTH,
         metavar="N",
         help="abort before producing words longer than N letters",
     )
@@ -312,10 +297,7 @@ def run(argv=None) -> int:
     except (words.WordSyntaxError, presentations.PresentationSyntaxError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -276,8 +276,11 @@ def format_abelian_invariants(inv: AbelianInvariants) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def triangle_group(l: int, m: int, n: int) -> Presentation:
-    """The central extension <x, y | x^l = y^m = (xy)^n> of a triangle group."""
+def triangle_group(l: int, m: int, n: int, max_length: int | None = None) -> Presentation:
+    """The central extension <x, y | x^l = y^m = (xy)^n> of a triangle group;
+    a relator over ``max_length`` letters is refused first, before it is built."""
+    if max_length is not None:
+        _check_length("triangle relator", max(abs(l) + abs(m), abs(m) + 2 * abs(n)), max_length)
     if 0 in (l, m, n):
         raise ValueError("triangle parameters must be nonzero")
     x = Word((1,))

@@ -293,10 +293,12 @@ def has_p_root_in_H(
     return RootCertificate(status, p, mode, e.level, tuple(levels), witness)
 
 
-def centralizer_compat(n: int, w: Word) -> bool:
+def centralizer_compat(n: int, w: Word, max_length: int | None = None) -> bool:
     """True iff phi maps the centralizer generator of ``w`` onto a generator
     of the centralizer of phi(w).  Both sides are computed independently via
-    primitive roots; the contract is that this always holds."""
+    primitive roots; the contract is that this always holds.  ``max_length``
+    bounds phi(w) as in :func:`promote`, and is checked first."""
+    _check_promotion(n, len(w), n + 1, max_length)
     if not w:
         raise IdentityWordError("centralizer compatibility needs a nontrivial word")
     c_image = centralizer_generator(phi(n, w))

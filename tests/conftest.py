@@ -3,22 +3,28 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from collections import deque
 from itertools import chain
 
+import pytest
 from hypothesis import strategies as st
 
+from loctower.adjunction import TPower
 from loctower.presentations import AbelianInvariants, Presentation, relation_matrix, smith_normal_form
 from loctower.roots import primitive_root
 from loctower.tower import TowerElement, validate_level_word
 from loctower.words import (
     IDENTITY,
     MAX_INTEGER_DIGITS,
+    LengthLimitError,
     Word,
     WordSyntaxError,
     cyclic_reduce,
     invert,
     multiply,
+    parse_word,
     power,
     reduce,
 )
@@ -401,6 +407,38 @@ def oracle_coset_rep(x: Word, w: Word) -> tuple[Word, int]:
             best = key
             best_k = k
     return Word(best[1]), -best_k
+
+
+def oracle_amalgam_expression(text: str) -> list:
+    """An adjunction expression split at every blank and ``*``, each
+    factor ``t``, ``t^j`` or a word: the first syntax of ``adjoin
+    --normalize``, which took no word with a blank or ``*`` inside a group."""
+    items = []
+    for chunk in text.replace("*", " ").split():
+        if chunk == "t":
+            items.append(TPower(1))
+        elif chunk.startswith("t^"):
+            items.append(TPower(int(chunk[2:])))
+        else:
+            items.append(parse_word(chunk))
+    return items
+
+
+def refused_at_once(call) -> str:
+    """The message of the LengthLimitError that ``call()`` raises, after
+    checking that it comes within 1 s and a 1 MB tracemalloc peak, that is,
+    before any long word is built."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(LengthLimitError) as info:
+            call()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 1_000_000, (seconds, peak)
+    return str(info.value)
 
 
 def oracle_prufer_text(p: int, a: int, k: int) -> str:

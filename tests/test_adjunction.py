@@ -29,6 +29,7 @@ from loctower.roots import MILLER_RABIN_BOUND, is_prime, kth_root, primitive_roo
 from loctower.words import (
     IDENTITY,
     IdentityWordError,
+    LengthLimitError,
     Word,
     invert,
     multiply,
@@ -44,6 +45,7 @@ from conftest import (
     oracle_distinguished_word,
     oracle_power_of,
     random_word,
+    refused_at_once,
     words_strategy,
 )
 
@@ -289,6 +291,59 @@ class TestNormalForm:
         for _ in range(80):
             e = amalgam_normalize(g, random_expression(rng, g))
             assert amalgam_normalize(g, e.to_expression()) == e
+
+
+def normal_form_bound(g, expression) -> int:
+    """B of :func:`amalgam_normalize`: sum(|w| + 2|x|) over base words w
+    plus |x| * sum(|e| // p^d + 1) over t-powers t^e."""
+    x, q = len(g.root_of), g.relation_exponent
+    return sum(
+        len(i) + 2 * x if isinstance(i, Word) else x * (abs(i.exponent) // q + 1)
+        for i in expression
+    )
+
+
+BUDGET_GROUPS = [
+    AdjunctionGroup(2, word(1), 2, 1),
+    AdjunctionGroup(2, word(1, 2), 3, 1),
+    AdjunctionGroup(2, word(1, 2, -1, -1), 2, 2),
+]
+
+
+class TestNormalizeBudget:
+    """``amalgam_normalize`` refuses an expression whose bound B exceeds
+    ``max_length`` before it builds anything; within the budget it returns
+    what the unbudgeted call returns, in no more than B letters."""
+
+    def test_refused_before_built(self):
+        g = adjoin_root(1, word(1), 2, 1)
+        expression = [TPower(10**12), word(1)]
+        message = refused_at_once(lambda: amalgam_normalize(g, expression, max_length=10))
+        assert message == "normal form bound of 500000000004 letters (limit 10)"
+        # before the rank check, and past an item that is not a factor
+        with pytest.raises(LengthLimitError, match="bound of 22 letters"):
+            amalgam_normalize(g, [power(word(2), 20)], max_length=10)
+        with pytest.raises(LengthLimitError, match="bound of 500000000001 letters"):
+            amalgam_normalize(g, [TPower(10**12), "x1"], max_length=10)
+        with pytest.raises(TypeError, match="must be Word or TPower"):
+            amalgam_normalize(g, ["x1"], max_length=10)
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(BUDGET_GROUPS),
+        st.lists(st.one_of(st.integers(-20, 20).map(TPower), words_strategy(2, 6)), max_size=6),
+    )
+    def test_budget_only_refuses(self, g, expression):
+        bound = normal_form_bound(g, expression)
+        e = amalgam_normalize(g, expression)
+        assert amalgam_normalize(g, expression, max_length=bound) == e
+        assert amalgam_normalize(g, expression, max_length=None) == e
+        letters = sum(len(s) for s in e.syllables if isinstance(s, Word))
+        assert letters + abs(e.tail) * len(g.root_of) <= bound
+        if bound:
+            with pytest.raises(LengthLimitError) as info:
+                amalgam_normalize(g, expression, max_length=bound - 1)
+            assert str(info.value) == f"normal form bound of {bound} letters (limit {bound - 1})"
 
 
 class TestAmalgamGroupLaw:

@@ -15,11 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loctower
-from loctower.adjunction import parse_prufer
+from loctower.adjunction import (
+    AdjunctionGroup,
+    amalgam_normalize,
+    parse_prufer,
+    prufer_quotient_map,
+)
 from loctower.cli import run
-from loctower.words import parse_word, power, substitute, word
+from loctower.words import format_word, parse_word, power, substitute, word
 
-from conftest import oracle_prufer_text
+from conftest import oracle_amalgam_expression, oracle_prufer_text, words_strategy
 
 SRC = Path(loctower.__file__).resolve().parent.parent
 
@@ -395,6 +400,55 @@ class TestAdjoin:
             assert code == 1 and out == ""
             assert "MAX_RELATION_BITS" in err
         assert time.perf_counter() - start < 1.0
+
+    NORMALIZE = ("adjoin", "--base-rank", "2", "--root-of", "x1", "--prime", "3", "--depth", "1",
+                 "--normalize")
+
+    def test_normalize_takes_grouped_words(self, capsys):
+        code, out, err = invoke(capsys, *self.NORMALIZE, "(x1*x2)^2 t (x2 x1^-1)^-1")
+        assert (code, err) == (0, "")
+        assert "normal_form=x1*x2*x1*x2*t*x1*x2^-1\n" in out
+
+    @pytest.mark.parametrize(
+        "expression,message",
+        [
+            ("x1*x2^", "parse error: column 7: expected an integer"),
+            ("t x2 t^ x1", "parse error: column 8: expected an integer"),
+            ("t^2 x1\tt^+1", "parse error: column 10: expected an integer"),
+            ("x2 t^2 (x1 x2", "parse error: column 14: expected ')'"),
+            ("x2 t (x1 t)^2", "parse error: column 10: unexpected character 't'"),
+            ("t\nx2^300000", "error: column 3: power of 300000 letters (limit 10)"),
+            ("x2*t*x1^6 x2^5", "error: column 11: word of 11 letters (limit 10)"),
+        ],
+    )
+    def test_normalize_columns_count_in_the_whole_expression(self, capsys, expression, message):
+        code, out, err = invoke(capsys, "--max-length", "10", *self.NORMALIZE, expression)
+        assert (code, out, err) == (2 if "parse" in message else 1, "", message + "\n")
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["t", "t^2", "t^-1", "t^-04"]),
+                words_strategy(2, 6).map(format_word),
+            ),
+            max_size=6,
+        ),
+        st.lists(st.sampled_from([" ", "*", " * ", "\t", "\n "]), min_size=7, max_size=7),
+    )
+    def test_normalize_splits_as_the_factor_syntax_did(self, factors, separators):
+        """An expression of blank- or '*'-separated factors, the only kind
+        the first syntax took, normalizes to the same element when the text
+        between two t-powers is read as one word."""
+        text = "".join(sep + factor for sep, factor in zip(separators, factors))
+        group = AdjunctionGroup(2, word(1), 3, 1)
+        element = amalgam_normalize(group, oracle_amalgam_expression(text))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["--json", *self.NORMALIZE, text]) == 0
+        data = json.loads(out.getvalue())
+        assert data["normal_form"] == str(element)
+        assert data["prufer_image"] == str(prufer_quotient_map(group, element))
 
 
 class TestWitness:

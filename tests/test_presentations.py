@@ -31,6 +31,7 @@ from conftest import (
     oracle_abelianization,
     oracle_smith_normal_form,
     random_word,
+    refused_at_once,
     words_strategy,
 )
 
@@ -417,6 +418,39 @@ class TestTriangleFiniteness:
             triangle_is_finite(0, 1, 1)
         with pytest.raises(ValueError):
             triangle_group(1, 0, 1)
+
+
+class TestTriangleBudget:
+    """``triangle_group`` refuses relators over ``max_length`` letters, by
+    the bound max(|l| + |m|, |m| + 2|n|), before it builds them and before
+    it checks for zero parameters."""
+
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ((2, 3, 10**6), "triangle relator of 2000003 letters (limit 10)"),
+            ((0, 3, 5), "triangle relator of 13 letters (limit 10)"),
+            ((10**12, 0, 1), "triangle relator of 1000000000000 letters (limit 10)"),
+        ],
+    )
+    def test_refused_before_built(self, params, message):
+        assert refused_at_once(lambda: triangle_group(*params, max_length=10)) == message
+
+    @given(st.tuples(*[st.integers(-6, 6)] * 3), st.integers(0, 30))
+    def test_budget_only_refuses(self, params, max_length):
+        l, m, n = params
+        bound = max(abs(l) + abs(m), abs(m) + 2 * abs(n))
+        if bound > max_length:
+            with pytest.raises(LengthLimitError) as info:
+                triangle_group(l, m, n, max_length)
+            assert str(info.value) == f"triangle relator of {bound} letters (limit {max_length})"
+        elif 0 in params:
+            with pytest.raises(ValueError, match="nonzero"):
+                triangle_group(l, m, n, max_length)
+        else:
+            pres = triangle_group(l, m, n, max_length)
+            assert pres == triangle_group(l, m, n) == triangle_group(l, m, n, None)
+            assert max(map(len, pres.relators)) <= max_length
 
 
 class TestFormatting:

@@ -3,7 +3,8 @@ class is named somewhere in ``src/loctower`` outside its own definition, or
 is exported by ``__init__``, and every module-level import is used.  Helpers
 only the tests need live in ``tests/conftest.py``.  Re-importing the package
 releases the old copy, and text reaches ``int()`` only through the one
-integer reader."""
+integer reader.  The command line leaves length budgets to the functions
+that build the words."""
 
 import ast
 import os
@@ -16,6 +17,9 @@ import loctower
 
 PACKAGE = Path(loctower.__file__).parent
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+SCRIPTS = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
+# the package's modules and the scripts, the scripts keyed by file name
+ALL_TREES = dict(TREES, **{p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SCRIPTS})
 
 
 def _referenced(node) -> Counter:
@@ -71,14 +75,10 @@ def test_no_assert_statements():
     """``python -O`` strips ``assert``; the package's and the scripts'
     self-checks raise ``AssertionError`` explicitly instead, so they hold
     in every mode."""
-    scripts = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
-    assert scripts
-    trees = dict(TREES)
-    for path in scripts:
-        trees[path.name] = ast.parse(path.read_text(encoding="utf-8"))
+    assert SCRIPTS
     found = [
         f"{module}:{node.lineno}"
-        for module, tree in trees.items()
+        for module, tree in ALL_TREES.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
@@ -152,3 +152,26 @@ def test_int_callers_are_pinned():
     for module, tree in TREES.items():
         visit(tree, module, "<module>")
     assert callers == INT_CALLERS
+
+
+def test_integer_options_use_the_integer_reader():
+    """``add_argument(..., type=int)`` reads '+3', '3_000' and '٣' through
+    ``int()``; the package's and the scripts' options go through
+    ``cli._integer_option`` instead."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in ALL_TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for k in node.keywords
+        if k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+    ]
+    assert SCRIPTS and found == []
+
+
+def test_cli_leaves_length_budgets_to_the_library():
+    """Each library function that builds long words checks ``max_length``
+    itself; the command line passes the budget on and works out no length."""
+    assert not {"_check_length", "_check_promotion"} & set(_referenced(TREES["cli"]))

@@ -52,6 +52,7 @@ from conftest import (
     oracle_strip,
     random_nonempty_word,
     random_word,
+    refused_at_once,
 )
 
 
@@ -371,6 +372,29 @@ class TestCentralizerCompat:
 
         with pytest.raises(IdentityWordError):
             centralizer_compat(0, IDENTITY)
+
+    def test_budget_refuses_first(self):
+        """phi(w) has 4|w| letters, the identity counting as one; the budget
+        is checked before the identity and level checks."""
+        message = refused_at_once(lambda: centralizer_compat(1, power(word(2), 10), max_length=10))
+        assert message == "promotion from level 1 to 2 would give 4^1*10 letters (limit 10)"
+        message = refused_at_once(lambda: centralizer_compat(0, IDENTITY, max_length=3))
+        assert message == "promotion from level 0 to 1 would give 4^1*1 letters (limit 3)"
+        big = power(word(1), 300_000)  # x1 is not a level-1 generator
+        message = refused_at_once(lambda: centralizer_compat(1, big, max_length=10))
+        assert message == "promotion from level 1 to 2 would give 4^1*300000 letters (limit 10)"
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 3), st.data())
+    def test_budget_only_refuses(self, level, data):
+        """At 4|w| letters or more the answer is the unbudgeted one; one
+        letter less is refused."""
+        w = data.draw(level_words(level, 10).filter(bool))
+        expected = centralizer_compat(level, w)
+        assert centralizer_compat(level, w, max_length=4 * len(w)) == expected
+        assert centralizer_compat(level, w, max_length=None) == expected
+        with pytest.raises(LengthLimitError):
+            centralizer_compat(level, w, max_length=4 * len(w) - 1)
 
 
 class TestPerfectnessRelation:
