@@ -175,7 +175,7 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     letters.  The cost is O(|w| + |x|).  For w = x^e the candidate -e gives
     the empty representative, so (IDENTITY, e) says that w is a power of x.
     """
-    if not w:
+    if not w:  # the witness relator comes here with a 4^n-letter x: build none of its powers
         return w, 0
     c = _conjugator_length(x.letters)
     u = len(x) - 2 * c

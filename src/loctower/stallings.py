@@ -10,8 +10,9 @@ construction and safe for concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .words import IDENTITY, Word, invert, multiply, substitute
+from .words import IDENTITY, Word, invert, multiply, reduce, substitute
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,12 @@ def build_graph(generators) -> SubgroupGraph:
     (t1 = t2) is dropped.  Folding is confluent, so the graph does not
     depend on the fold order; vertices are numbered by a BFS from the
     basepoint that visits letters in the order 1, -1, 2, -2, ...
+
+    Folding leaves no hair, so nothing is trimmed: in the bouquet each
+    vertex but the basepoint has two outgoing letters, -l_k and l_(k+1),
+    distinct as each generator is reduced.  A merge unites letter sets, a
+    dropped parallel copy keeps its letter at both ends, and a letter
+    deleted at a merged vertex's far end returns with its re-queued edge.
     """
     gens = tuple(generators)
     if not gens:
@@ -124,18 +131,6 @@ def build_graph(generators) -> SubgroupGraph:
             work.append((gone, b, x, m))
         out[gone] = None
 
-    # trim to the core: drop non-basepoint vertices of degree <= 1
-    stack = [v for v in range(1, size) if out[v] is not None and len(out[v]) <= 1]
-    while stack:
-        v = stack.pop()
-        if out[v] is None:
-            continue
-        for b, (x, _) in out[v].items():
-            del out[x][-b]
-            if x and len(out[x]) <= 1:
-                stack.append(x)
-        out[v] = None
-
     # deterministic renumbering by BFS from the basepoint
     number = {0: 0}
     order = [0]
@@ -160,15 +155,22 @@ def build_graph(generators) -> SubgroupGraph:
     )
 
 
-def contains(g: SubgroupGraph, w: Word) -> bool:
-    """True iff ``w`` lies in the subgroup; the identity always does."""
-    v = 0
+def _walk(g: SubgroupGraph, w: Word) -> list[tuple[int, ...]] | None:
+    """The edge witnesses along the path of ``w`` from the basepoint, or
+    None when that path leaves the graph or does not close."""
+    v, witnesses = 0, []
     for letter in w.letters:
         hit = g._steps.get((v, letter))
         if hit is None:
-            return False
-        v = hit[0]
-    return v == 0
+            return None
+        v, witness = hit
+        witnesses.append(witness)
+    return witnesses if v == 0 else None
+
+
+def contains(g: SubgroupGraph, w: Word) -> bool:
+    """True iff ``w`` lies in the subgroup; the identity always does."""
+    return _walk(g, w) is not None
 
 
 def express(g: SubgroupGraph, w: Word) -> Word | None:
@@ -176,24 +178,13 @@ def express(g: SubgroupGraph, w: Word) -> Word | None:
     generating word, in input order) whose substitution-expansion reduces to
     ``w``.  None when ``w`` is not in the subgroup.
 
-    Reads the edge witnesses along the loop of ``w`` at the basepoint, in
+    Reduces the edge witnesses along the loop of ``w`` at the basepoint, in
     time linear in ``|w|`` plus the witness letters read.
     """
-    out: list[int] = []
-    v = 0
-    for letter in w.letters:
-        hit = g._steps.get((v, letter))
-        if hit is None:
-            return None
-        v, witness = hit
-        for y in witness:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    if v != 0:
+    witnesses = _walk(g, w)
+    if witnesses is None:
         return None
-    result = Word(tuple(out))
+    result = reduce(chain.from_iterable(witnesses))
     if substitute(result, g.generating_words) != w:
         raise AssertionError("stallings: the witness does not expand to the word")
     return result

@@ -214,6 +214,15 @@ class TestAdjunctionGroup:
         with pytest.raises(ValueError):
             AdjunctionGroup(2, word(1, 1), 2, 1)  # not primitive
 
+    def test_refusals_name_the_fault(self):
+        for build in (AdjunctionGroup, adjoin_root):
+            with pytest.raises(IdentityWordError) as info:
+                build(1, IDENTITY, 2, 1)
+            assert str(info.value) == "cannot adjoin a root to the identity"
+        with pytest.raises(ValueError) as info:
+            AmalgamElement(AdjunctionGroup(2, word(1), 2, 1), (word(2), word(2, 2)), 0)
+        assert str(info.value) == "syllables must alternate"
+
     def test_adjoin_root_rebases_proper_powers(self):
         with pytest.warns(UserWarning):
             g = adjoin_root(2, word(1, 1), 2, 1)

@@ -324,6 +324,11 @@ class TestAdjoin:
         assert code == 0
         assert data["relation"] == "t^4 = x1"
 
+    @pytest.mark.parametrize("base_rank", ["0", "-3"])
+    def test_nonpositive_base_rank_is_refused(self, capsys, base_rank):
+        argv = ADJOIN_X1[:2] + (base_rank,) + ADJOIN_X1[3:]
+        assert invoke(capsys, *argv) == (1, "", "error: rank must be positive\n")
+
     def test_normalize_expression(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -203,6 +203,20 @@ class TestAbelianization:
             assert inv == AbelianInvariants((), 2**n) == oracle_abelianization(tower_truncation(n))
             assert not is_perfect(tower_truncation(n))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Presentation(0, ()), "generator count must be positive"),
+            (lambda: AbelianInvariants((), -1), "free rank must be nonnegative"),
+            (lambda: tower_truncation(-1), "depth must be nonnegative"),
+        ],
+        ids=["presentation", "invariants", "truncation"],
+    )
+    def test_refusals_name_the_fault(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_invariant_under_relator_conjugation_and_inversion(self):
         rng = random.Random(2024)
         for _ in range(40):

@@ -22,6 +22,7 @@ from loctower.stallings import (
 )
 from loctower.words import (
     IDENTITY,
+    Word,
     commutator,
     invert,
     multiply,
@@ -31,7 +32,13 @@ from loctower.words import (
     word,
 )
 
-from conftest import oracle_build_graph, random_nonempty_word, random_word, words_strategy
+from conftest import (
+    iter_reduced_tuples,
+    oracle_build_graph,
+    random_nonempty_word,
+    random_word,
+    words_strategy,
+)
 
 
 def brute_force_member(generators, target, max_factors=4):
@@ -116,6 +123,33 @@ class TestFoldConfluence:
             witness = express(g, power(u, k))
             assert witness is not None
             assert substitute(witness, gens) == power(u, k)
+
+
+def edge_ends(g):
+    """The number of edge ends at each vertex; a loop counts twice."""
+    ends = [0] * g.num_vertices
+    for u, v, _ in g.edges:
+        ends[u] += 1
+        ends[v] += 1
+    return ends
+
+
+class TestFoldingLeavesNoHair:
+    """Every vertex but the basepoint keeps two or more edge ends through
+    folding, which is why ``build_graph`` runs no trimming pass."""
+
+    @given(st.lists(words_strategy(rank=3, max_len=9), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_every_vertex_but_the_basepoint_has_two_edge_ends(self, gens):
+        # identities and words that are not cyclically reduced included
+        assert all(n >= 2 for n in edge_ends(build_graph(gens))[1:]), gens
+
+    def test_rank_2_pairs_match_the_trimming_oracle(self):
+        words = [IDENTITY, *map(Word, iter_reduced_tuples(3, 2))]
+        assert len(words) == 53
+        for a in words:
+            for b in words:
+                assert graph_shape(build_graph([a, b])) == oracle_build_graph([a, b]), (a, b)
 
 
 class TestMembership:

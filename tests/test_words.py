@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,7 @@ class TestTextSyntax:
         assert format_word(IDENTITY) == "1"
         assert format_word(word(3, 3, 3)) == "x3^3"
         assert format_word(word(2, 1), symbol="y") == "y2*y1"
+        assert str(Word((1, -2))) == "x1*x2^-1"
 
     @given(
         st.lists(st.tuples(letter_strategy(rank=3), st.integers(1, 12)), max_size=10),
@@ -242,12 +244,26 @@ class TestTextSyntax:
             ((5,), "x5"),
             ((-5,), "x5^-1"),
             ((4, -7, 4, 7), "x4*x7^-1*x4*x7"),  # no run
+            ((1,) * 1_000_000, "x1^1000000"),
+            ((-3,) * 250_000, "x3^-250000"),
+            ((2,) * 4 + (1, -3) + (-1,) * 5, "x2^4*x1*x3^-1*x1^-5"),  # runs at both ends
+            ((1, 1, 2, -1, -1, -1, 2, 1, 1, 1, 1), "x1^2*x2*x1^-3*x2*x1^4"),  # x1, x1^-1 in turn
+            ((3,) * 5 + (-2,) * 5 + (3,) * 5 + (-2,) * 5, "x3^5*x2^-5*x3^5*x2^-5"),
+            ((12,), "x12"),
         ],
     )
     def test_runs_at_every_position(self, letters, text):
         w = Word(letters)
         assert format_word(w) == oracle_format_word(w) == text
+        assert parse_word(text) == w
         assert format_word(w, symbol="y") == oracle_format_word(w, "y") == text.replace("x", "y")
+
+    def test_a_million_letter_run_formats_in_under_a_second(self):
+        w = power(word(1), 1_000_000)
+        start = time.perf_counter()
+        text = format_word(w)
+        assert time.perf_counter() - start < 1.0
+        assert text == "x1^1000000"
 
     @pytest.mark.parametrize("symbol", ["x", "y"])
     def test_promoted_words_without_and_with_a_run(self, symbol):
