@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import compress, islice
 from operator import add, eq, itemgetter, neg
 from typing import Iterable, Sequence
 
@@ -238,8 +238,8 @@ def format_word(w: Word, symbol: str = "x") -> str:
     """Render a word in the text syntax, e.g. ``x1*x2^-1``; identity is ``1``.
 
     Each letter is named through a table.  A word with no letter equal to
-    its successor is joined straight from it; otherwise each run of a
-    repeated letter, as ``itertools.groupby`` finds it, is one power.
+    its successor is joined straight from it; otherwise only the runs of a
+    repeated letter are rewritten as one power.
     """
     letters = w.letters
     if not letters:
@@ -247,11 +247,19 @@ def format_word(w: Word, symbol: str = "x") -> str:
     names = {l: f"{symbol}{l}" if l > 0 else f"{symbol}{-l}^-1" for l in set(letters)}
     if len(letters) > 1 and not any(map(eq, letters, islice(letters, 1, None))):
         return "*".join(itemgetter(*letters)(names))  # two or more keys give a tuple
-    parts = []
-    for l, run in groupby(letters):
-        n = len(list(run))
-        parts.append(names[l] if n == 1 else f"{symbol}{abs(l)}^{n if l > 0 else -n}")
-    return "*".join(parts)
+    parts: list[str | None] = list(map(names.__getitem__, letters))
+    runs: dict[int, int] = {}  # first index of a run -> its length
+    start = last = -2
+    for i in compress(range(len(letters) - 1), map(eq, letters, letters[1:])):
+        if i != last + 1:  # a repeat not next to the previous one opens a run
+            start = i
+        runs[start] = i + 2 - start
+        parts[i + 1] = None
+        last = i
+    for start, run in runs.items():
+        l = letters[start]
+        parts[start] = f"{symbol}{l}^{run}" if l > 0 else f"{symbol}{-l}^{-run}"
+    return "*".join(filter(None, parts))
 
 
 # Python refuses int() on strings of more than 4,300 digits by default

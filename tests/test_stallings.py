@@ -92,6 +92,21 @@ def graph_shape(g):
     return g.num_vertices, g.edges
 
 
+def assert_matches_oracle(gens):
+    """The oracle trims the folded graph and ``build_graph`` does not, so
+    equal graphs mean folding left no hair.  The edge-end count states
+    that directly, and would catch hair even if the oracle stopped
+    trimming: every vertex but the basepoint has two or more edge ends,
+    a loop counting twice."""
+    g = build_graph(gens)
+    assert graph_shape(g) == oracle_build_graph(gens), gens
+    ends = [0] * g.num_vertices
+    for u, v, _ in g.edges:
+        ends[u] += 1
+        ends[v] += 1
+    assert min(ends[1:], default=2) >= 2, gens
+
+
 class TestFoldConfluence:
     def test_random_schedules_agree(self):
         rng = random.Random(20240817)
@@ -106,11 +121,18 @@ class TestFoldConfluence:
                 shuffled = oracle_build_graph(gens, fold_seed=rng.randint(0, 10**9))
                 assert shuffled == reference, (trial, gens)
 
-    @given(st.lists(words_strategy(rank=3, max_len=7), min_size=1, max_size=4))
-    @settings(max_examples=200)
+    @given(st.lists(words_strategy(rank=3, max_len=9), min_size=1, max_size=4))
+    @settings(max_examples=300)
     def test_matches_oracle(self, gens):
-        # identity generators included: they add no edges
-        assert graph_shape(build_graph(gens)) == oracle_build_graph(gens)
+        # identities and words that are not cyclically reduced included
+        assert_matches_oracle(gens)
+
+    def test_matches_oracle_on_rank_2_pairs(self):
+        words = [IDENTITY, *map(Word, iter_reduced_tuples(3, 2))]
+        assert len(words) == 53
+        for a in words:
+            for b in words:
+                assert_matches_oracle([a, b])
 
     @pytest.mark.parametrize("a, b", [(2, 3), (5, 8), (13, 21)])
     def test_folding_pairs(self, a, b):
@@ -123,33 +145,6 @@ class TestFoldConfluence:
             witness = express(g, power(u, k))
             assert witness is not None
             assert substitute(witness, gens) == power(u, k)
-
-
-def edge_ends(g):
-    """The number of edge ends at each vertex; a loop counts twice."""
-    ends = [0] * g.num_vertices
-    for u, v, _ in g.edges:
-        ends[u] += 1
-        ends[v] += 1
-    return ends
-
-
-class TestFoldingLeavesNoHair:
-    """Every vertex but the basepoint keeps two or more edge ends through
-    folding, which is why ``build_graph`` runs no trimming pass."""
-
-    @given(st.lists(words_strategy(rank=3, max_len=9), min_size=1, max_size=4))
-    @settings(max_examples=300)
-    def test_every_vertex_but_the_basepoint_has_two_edge_ends(self, gens):
-        # identities and words that are not cyclically reduced included
-        assert all(n >= 2 for n in edge_ends(build_graph(gens))[1:]), gens
-
-    def test_rank_2_pairs_match_the_trimming_oracle(self):
-        words = [IDENTITY, *map(Word, iter_reduced_tuples(3, 2))]
-        assert len(words) == 53
-        for a in words:
-            for b in words:
-                assert graph_shape(build_graph([a, b])) == oracle_build_graph([a, b]), (a, b)
 
 
 class TestMembership:

@@ -254,16 +254,12 @@ class TestTextSyntax:
     )
     def test_runs_at_every_position(self, letters, text):
         w = Word(letters)
-        assert format_word(w) == oracle_format_word(w) == text
+        start = time.perf_counter()
+        assert format_word(w) == text
+        assert time.perf_counter() - start < 1.0  # x1^1000000 included
+        assert oracle_format_word(w) == text
         assert parse_word(text) == w
         assert format_word(w, symbol="y") == oracle_format_word(w, "y") == text.replace("x", "y")
-
-    def test_a_million_letter_run_formats_in_under_a_second(self):
-        w = power(word(1), 1_000_000)
-        start = time.perf_counter()
-        text = format_word(w)
-        assert time.perf_counter() - start < 1.0
-        assert text == "x1^1000000"
 
     @pytest.mark.parametrize("symbol", ["x", "y"])
     def test_promoted_words_without_and_with_a_run(self, symbol):
