@@ -14,7 +14,6 @@ an element is its denominator, a power of p.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -88,19 +87,10 @@ def adjoin_root(base_rank: int, x: Word, p: int, d: int) -> AdjunctionGroup:
     """Build the adjunction, rebasing a proper power onto its primitive root.
 
     The amalgamated subgroup must be the full centralizer of x for the
-    normal form to be well defined, so v^k is rebased to v with a warning.
+    normal form to be well defined, so v^k is rebased to v; the rebase
+    shows as a group whose root_of differs from x.
     """
-    if not x:
-        raise IdentityWordError("cannot adjoin a root to the identity")
-    dec = primitive_root(x)
-    if dec.exponent != 1:
-        warnings.warn(
-            f"root_of {format_word(x)} is a proper power; rebasing onto its "
-            f"primitive root {format_word(dec.root)}",
-            stacklevel=2,
-        )
-        x = dec.root
-    return AdjunctionGroup(base_rank, x, p, d)
+    return AdjunctionGroup(base_rank, primitive_root(x).root if x else x, p, d)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-import warnings
 
 from . import adjunction, presentations, roots, stallings, tower, words
 from .words import format_word, parse_word
@@ -135,10 +134,7 @@ def _parse_amalgam_expression(text: str, limit: int) -> list:
 
 def _cmd_adjoin(args) -> dict:
     root_of = parse_word(args.root_of, args.max_length)
-    with warnings.catch_warnings():
-        # the rebase is reported on stdout as rebased_from
-        warnings.filterwarnings("ignore", "root_of .* is a proper power", UserWarning)
-        group = adjunction.adjoin_root(args.base_rank, root_of, args.prime, args.depth)
+    group = adjunction.adjoin_root(args.base_rank, root_of, args.prime, args.depth)
     out = {
         "base_rank": group.base_rank,
         "root_of": format_word(group.root_of),

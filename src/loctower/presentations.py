@@ -344,14 +344,12 @@ def parse_presentation(text: str, max_length: int | None = None) -> Presentation
             chained = [multiply(a, invert(b)) for a, b in zip(sides, sides[1:])] or sides
             for r in chained:
                 _check_length("relator", len(r), max_length)
-        except WordSyntaxError as exc:
-            raise PresentationSyntaxError(str(exc), lineno) from None
+                validate_rank(r, generator_count)
         except LengthLimitError as exc:
             raise LengthLimitError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise PresentationSyntaxError(str(exc), lineno) from None
         relators.extend(chained)
     if generator_count is None:
         raise PresentationSyntaxError("missing 'gens: n' header", 1)
-    try:
-        return Presentation(generator_count, tuple(relators))
-    except ValueError as exc:
-        raise PresentationSyntaxError(str(exc), 1) from None
+    return Presentation(generator_count, tuple(relators))

@@ -29,7 +29,7 @@ class SubgroupGraph:
     num_vertices: int
     edges: tuple[tuple[int, int, int], ...]
     witnesses: tuple[Word, ...]
-    _steps: dict = field(default_factory=dict, compare=False, repr=False)
+    _steps: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         steps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}

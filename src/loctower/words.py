@@ -52,7 +52,7 @@ class Word:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for l in letters:
-            if not isinstance(l, int) or l == 0:
+            if type(l) is not int or l == 0:
                 raise ValueError(f"invalid letter {l!r}")
         for a, b in zip(letters, letters[1:]):
             if a == -b:

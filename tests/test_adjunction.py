@@ -3,6 +3,7 @@ non-perfectness witness pipeline."""
 
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -39,11 +40,13 @@ from loctower.words import (
 )
 
 from conftest import (
+    is_cyclically_reduced,
     letter_strategy,
     nonempty_words_strategy,
     oracle_coset_rep,
     oracle_distinguished_word,
     oracle_power_of,
+    oracle_primitive_root,
     random_word,
     refused_at_once,
     words_strategy,
@@ -223,10 +226,23 @@ class TestAdjunctionGroup:
             AmalgamElement(AdjunctionGroup(2, word(1), 2, 1), (word(2), word(2, 2)), 0)
         assert str(info.value) == "syllables must alternate"
 
-    def test_adjoin_root_rebases_proper_powers(self):
-        with pytest.warns(UserWarning):
-            g = adjoin_root(2, word(1, 1), 2, 1)
-        assert g.root_of == word(1)
+    @given(
+        nonempty_words_strategy(3, 8).filter(
+            lambda v: is_cyclically_reduced(v) and oracle_primitive_root(v.letters)[1] == 1
+        ),
+        st.integers(2, 5),
+        st.sampled_from((2, 3, 5)),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adjoin_root_rebases_proper_powers(self, v, k, p, d):
+        """v^k is rebased onto v; the group it returns is the whole report."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = adjoin_root(3, power(v, k), p, d)
+        assert g.root_of == v
+        assert g == AdjunctionGroup(3, v, p, d)
+        assert caught == []
 
     def test_relation_exponent(self):
         assert AdjunctionGroup(1, word(1), 3, 2).relation_exponent == 9

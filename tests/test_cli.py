@@ -300,6 +300,13 @@ class TestAbelianize:
         code, _, err = invoke(capsys, "abelianize", str(path))
         assert code == 2 and "parse error" in err
 
+    def test_rank_error_names_the_relators_line(self, capsys, tmp_path):
+        path = tmp_path / "rank.txt"
+        path.write_text("gens: 2\n# c\nx1*x2\nx1*x3\n")
+        code, out, err = invoke(capsys, "abelianize", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 4: word x1*x3 uses generators beyond rank 2\n"
+
     def test_no_input(self, capsys):
         code, _, err = invoke(capsys, "abelianize")
         assert code == 1

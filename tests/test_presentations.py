@@ -520,6 +520,10 @@ class TestParser:
         with pytest.raises(PresentationSyntaxError) as info:
             parse_presentation("gens: 2\nx1\nx?")
         assert info.value.line == 3
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation("gens: 2\n# c\nx1*x2\nx1*x3")
+        assert info.value.line == 4
+        assert str(info.value) == "line 4: word x1*x3 uses generators beyond rank 2"
 
     @pytest.mark.parametrize(
         "text,message",

@@ -4,7 +4,7 @@ is exported by ``__init__``, and every module-level import is used.  Helpers
 only the tests need live in ``tests/conftest.py``.  Re-importing the package
 releases the old copy, and text reaches ``int()`` only through the one
 integer reader.  The command line leaves length budgets to the functions
-that build the words."""
+that build the words, and no module reports through ``warnings``."""
 
 import ast
 import os
@@ -169,6 +169,19 @@ def test_integer_options_use_the_integer_reader():
         if k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
     ]
     assert SCRIPTS and found == []
+
+
+def test_no_module_imports_warnings():
+    """Results, a rebase by ``adjoin_root`` included, are returned as
+    values; nothing reports through the global warnings machinery."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings")
+    ]
+    assert found == []
 
 
 def test_cli_leaves_length_budgets_to_the_library():

@@ -87,6 +87,17 @@ class TestBuildGraph:
         gens = [word(1, 2, -1), word(2, 2), word(1, -3, 1)]
         assert build_graph(gens) == build_graph(gens)
 
+    def test_step_table_is_derived_not_passed(self):
+        """The step table is built from the edges; it is no constructor
+        argument, and equality and hashing ignore it."""
+        fields = ((word(1),), 1, ((0, 0, 1),), (word(1),))
+        with pytest.raises(TypeError):
+            SubgroupGraph(*fields, _steps={})
+        g = SubgroupGraph(*fields)
+        assert g._steps == {(0, 1): (0, (1,)), (0, -1): (0, (-1,))}
+        assert g == build_graph([word(1)]) and hash(g) == hash(build_graph([word(1)]))
+        assert g != SubgroupGraph((word(2),), 1, ((0, 0, 2),), (word(1),))
+
 
 def graph_shape(g):
     return g.num_vertices, g.edges

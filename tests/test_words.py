@@ -66,6 +66,13 @@ class TestReduce:
         with pytest.raises(ValueError):
             Word((1, 0))
 
+    @pytest.mark.parametrize("letter", [True, False, type("Letter", (int,), {})(1)])
+    def test_constructor_rejects_letters_that_are_not_int(self, letter):
+        """``True`` would print as ``xTrue``, so ``format_word`` and
+        ``parse_word`` would no longer round-trip."""
+        with pytest.raises(ValueError, match="invalid letter"):
+            Word((letter,))
+
 
 class TestGroupOperations:
     def test_multiply_examples(self):
