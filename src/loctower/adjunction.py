@@ -90,6 +90,8 @@ def adjoin_root(base_rank: int, x: Word, p: int, d: int) -> AdjunctionGroup:
     normal form to be well defined, so v^k is rebased to v; the rebase
     shows as a group whose root_of differs from x.
     """
+    if x:  # a rank refusal names x, not the root it is rebased onto
+        validate_rank(x, base_rank)
     return AdjunctionGroup(base_rank, primitive_root(x).root if x else x, p, d)
 
 

@@ -72,17 +72,14 @@ def _exponent_row(w: Word) -> dict[int, int]:
     return {g: x for g, x in sums.items() if x}
 
 
-def exponent_sums(w: Word, generator_count: int) -> tuple[int, ...]:
-    sums = [0] * generator_count
-    for g, x in _exponent_row(w).items():
-        sums[g - 1] = x
-    return tuple(sums)
-
-
 def relation_matrix(p: Presentation) -> Matrix:
     """One row per relator, one column per generator; entries are exponent
     sums.  A free group yields a 0 x n matrix."""
-    return tuple(exponent_sums(r, p.generator_count) for r in p.relators)
+    rows = [[0] * p.generator_count for _ in p.relators]
+    for dense, r in zip(rows, p.relators):
+        for g, x in _exponent_row(r).items():
+            dense[g - 1] = x
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .roots import centralizer_generator, is_prime, kth_root
-from .words import IDENTITY, IdentityWordError, LengthLimitError, Word, _reduced, invert, multiply
+from .words import IDENTITY, IdentityWordError, LengthLimitError, Word, _reduced, invert
+from .words import multiply, support
 
 
 def validate_level_word(n: int, w: Word) -> None:
@@ -28,14 +29,13 @@ def validate_level_word(n: int, w: Word) -> None:
     when i has n + 1 bits, which decides deep levels without building 2^n."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    letters = w.letters
     # bit length is monotone in i, so the extreme indices decide every
     # letter; they are found among the distinct letters, and the word is
     # walked only to name its first offender
-    indices = set(map(abs, set(letters)))
-    if not letters or min(indices).bit_length() == n + 1 == max(indices).bit_length():
+    indices = support(w)
+    if not indices or min(indices).bit_length() == n + 1 == max(indices).bit_length():
         return
-    bad = next(i for i in map(abs, letters) if i.bit_length() != n + 1)
+    bad = next(i for i in map(abs, w.letters) if i.bit_length() != n + 1)
     raise ValueError(
         f"generator x{bad} is not valid at level {n} "
         f"(it is a level-{bad.bit_length() - 1} generator)"

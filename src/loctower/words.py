@@ -210,7 +210,7 @@ def support(w: Word) -> frozenset[int]:
 
 def max_index(w: Word) -> int:
     """Largest generator index used; 0 for the identity."""
-    return max(map(abs, set(w.letters)), default=0)
+    return max(support(w), default=0)
 
 
 def validate_rank(w: Word, n: int) -> None:

@@ -516,6 +516,18 @@ def oracle_smith_normal_form(matrix):
     return tuple(tuple(tuple(row) for row in m) for m in (a, u, v))
 
 
+def oracle_relation_matrix(generator_count: int, relators) -> tuple[tuple[int, ...], ...]:
+    """Exponent sums by one dense row per relator, each letter adding +-1
+    to its generator's column."""
+    rows = []
+    for r in relators:
+        row = [0] * generator_count
+        for l in r.letters:
+            row[abs(l) - 1] += 1 if l > 0 else -1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def oracle_abelianization(p: Presentation) -> AbelianInvariants:
     """Read the abelianization off the Smith diagonal: zeros and missing
     pivots contribute free rank, entries >= 2 torsion, ones nothing."""

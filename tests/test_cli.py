@@ -402,6 +402,10 @@ class TestAdjoin:
         assert data["root_of"] == "x1"
         assert data["rebased_from"] == "x1^2"
 
+    def test_rank_refusal_names_the_word_given(self, capsys):
+        argv = ("adjoin", "--base-rank", "1", "--prime", "3", "--depth", "1", "--root-of", "x2^2")
+        assert invoke(capsys, *argv) == (1, "", "error: word x2^2 uses generators beyond rank 1\n")
+
     def test_depth_is_bounded(self, capsys):
         start = time.perf_counter()
         for depth in ("20000", str(10**9)):

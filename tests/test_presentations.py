@@ -13,7 +13,6 @@ from loctower.presentations import (
     Presentation,
     PresentationSyntaxError,
     abelianization,
-    exponent_sums,
     format_abelian_invariants,
     is_perfect,
     parse_presentation,
@@ -29,6 +28,7 @@ from conftest import (
     determinant,
     matrix_multiply,
     oracle_abelianization,
+    oracle_relation_matrix,
     oracle_smith_normal_form,
     random_word,
     refused_at_once,
@@ -171,7 +171,17 @@ class TestRelationMatrix:
         assert relation_matrix(p) == ()
 
     def test_exponent_sums(self):
-        assert exponent_sums(word(1, 2, -1, -2, 2), 3) == (0, 1, 0)
+        p = Presentation(3, (word(1, 2, -1, -2, 2), word(3, 3, -1)))
+        assert relation_matrix(p) == ((0, 1, 0), (-1, 0, 2))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(words_strategy(n, 16), max_size=6))
+        )
+    )
+    def test_matches_dense_oracle(self, case):
+        n, relators = case
+        assert relation_matrix(Presentation(n, relators)) == oracle_relation_matrix(n, relators)
 
 
 class TestAbelianization:

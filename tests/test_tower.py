@@ -216,6 +216,8 @@ class TestNormalizePromote:
             (2, word(4, 2, 8), "x2", 1),
             (2, word(5, -9, 7, -3), "x9", 3),
             (1, word(-3, 1, 2, 9), "x1", 0),
+            (2, word(5, -9, 6), "x9", 3),
+            (3, word(-1), "x1", 0),
         ]
         for n, w, name, level in cases:
             message = f"generator {name} is not valid at level {n} (it is a level-{level} generator)"

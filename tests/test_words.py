@@ -27,6 +27,7 @@ from loctower.words import (
     reduce,
     substitute,
     support,
+    validate_rank,
     word,
 )
 
@@ -163,6 +164,21 @@ class TestPower:
     def test_support_preserved(self, w, k):
         assert support(power(w, k)) == support(w)
         assert support(power(w, -k)) == support(w)
+
+
+class TestRank:
+    def test_index_set_and_rank_messages(self):
+        w = word(1, -3, -3, -2)
+        assert support(w) == {1, 2, 3} and max_index(w) == 3 and max_index(IDENTITY) == 0
+        validate_rank(w, 3)
+        validate_rank(IDENTITY, 1)
+        with pytest.raises(ValueError) as info:
+            validate_rank(w, 2)
+        assert str(info.value) == "word x1*x3^-2*x2^-1 uses generators beyond rank 2"
+        for n in (0, -1):
+            with pytest.raises(ValueError) as info:
+                validate_rank(IDENTITY, n)
+            assert str(info.value) == "rank must be positive"
 
 
 class TestCyclicReduce:
