@@ -24,6 +24,8 @@ def main() -> None:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
+    if args.max_depth < 1:  # the sweep would be empty: refused as loctower refuses depth 0
+        sys.exit("error: depth must be >= 1")
     try:
         rows = [
             witness_nonperfect(args.level, p, d, DEFAULT_MAX_LENGTH).to_dict()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .roots import is_prime, primitive_root
-from .tower import _check_promotion, _expand
+from .tower import _check_promotion, _images
 from .words import (
     IdentityWordError,
     Word,
@@ -292,12 +292,14 @@ class NonPerfectReport:
 
     ``group`` adjoins t to the distinguished word of tower level ``level``;
     the images are those of the defining relator and of t in Z(p^infinity).
+    ``distinguished`` is the text of that word, built with it.
     """
 
     level: int
     group: AdjunctionGroup
     relator_image: Fraction
     t_image: Fraction
+    distinguished: str
 
     def to_dict(self) -> dict:
         g = self.group
@@ -306,7 +308,7 @@ class NonPerfectReport:
             "prime": g.prime,
             "depth": g.depth,
             "base_rank": g.base_rank,
-            "distinguished": format_word(g.root_of),
+            "distinguished": self.distinguished,
             # AdjunctionGroup refuses a root_of that is a proper power, and
             # in a free group that means it has no p-th root for any p
             "rootless": True,
@@ -318,19 +320,44 @@ class NonPerfectReport:
         }
 
 
+def _distinguished(n: int) -> tuple[tuple[int, ...], str]:
+    """The letters of x1 promoted to level n, shifted onto the base labels
+    1..2^n, and their text, from one recursion: a level-n letter's block is
+    its base label with its name, and a letter's block one level up joins
+    the blocks of the four letters of its image, the letters by tuple join
+    and the texts by ``*``-join.  The promotion reaches every level-n
+    generator.  The text is the one :func:`format_word` gives, with no
+    power in it, because no expansion holds a letter equal to its successor
+    (see ``tower._expand``)."""
+    offset = 2**n - 1
+    blocks = {}
+    for i in range(2**n, 2 ** (n + 1)):
+        a = i - offset
+        blocks[i], blocks[-i] = ((a,), f"x{a}"), ((-a,), f"x{a}^-1")
+    for layer in reversed(_images((1,), n)):
+        joined = {}
+        for l, (e, f, g, h) in layer.items():
+            (a, s), (b, t), (c, u), (d, v) = blocks[e], blocks[f], blocks[g], blocks[h]
+            joined[l] = a + b + c + d, f"{s}*{t}*{u}*{v}"
+        blocks = joined
+    return blocks[1]
+
+
 def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) -> NonPerfectReport:
     """Adjoin a depth-d p-root to the rootless distinguished element of the
     level-n tower truncation and verify the surjection onto Z/p^d.
 
-    The distinguished word, x1 promoted to level n, is expanded in the base
-    labels 1..2^n.  It has 4^n letters; ``max_length`` bounds it as in
-    :func:`promote`.  Building the group checks that the word is primitive,
-    which in a free group means it has no p-th root for any p.
+    The distinguished word, x1 promoted to level n, is written in the base
+    labels 1..2^n and built together with its text.  It has 4^n letters;
+    ``max_length`` bounds it as in :func:`promote`.  Building the group
+    checks that the word is primitive, which in a free group means it has
+    no p-th root for any p.
     """
     _check_relation(p, d)
     _check_promotion(0, 1, n, max_length)
+    letters, text = _distinguished(n)
     # x1 is reduced, and each expansion keeps a word reduced
-    x = _reduced(_expand((1,), n, 1))
+    x = _reduced(letters)
     group = AdjunctionGroup(2**n, x, p, d)
     # the defining relator t^(p^d) * x^-1 must be trivial in the amalgam
     relator = amalgam_normalize(group, (TPower(group.relation_exponent), invert(x)))
@@ -342,4 +369,5 @@ def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) ->
         group=group,
         relator_image=prufer_quotient_map(group, relator),
         t_image=prufer_quotient_map(group, t),
+        distinguished=text,
     )

@@ -9,9 +9,16 @@ with :func:`_element` instead of checking it again.  :func:`normalize`
 strips first and checks only the stripped word: k levels of phi add k bits
 to every index.  Promotion and stripping read a word a fixed number of times.
 
+A k-fold expansion is built from blocks: the block of a letter at depth
+k >= 1 is the join of the depth-(k-1) blocks of the four letters of its
+image, built bottom-up over the signed generators the expansion reaches,
+and the word is then read once through the table of its letters' blocks.
+
 Index convention: the doubling convention above is used everywhere.  The
 relabelled variant x_i -> [x_{2i-1}, x_{2i}] on 1-indexed generators is the
-same map up to the index bijection i -> i + 2^n - 1 at level n.
+same map up to the index bijection i -> i + 2^n - 1 at level n; the
+non-perfectness witness writes its word in those labels by relabelling
+the level-n letters its blocks are joined from.
 """
 
 from __future__ import annotations
@@ -42,28 +49,50 @@ def validate_level_word(n: int, w: Word) -> None:
     )
 
 
-def _expand(letters: tuple[int, ...], levels: int = 1, shift: int = 0) -> tuple[int, ...]:
-    """Letters of phi applied ``levels`` times: x_i -> (j, j+1, -j, -j-1)
-    and x_i^-1 -> (j+1, j, -j-1, -j) with j = 2i - shift.  ``shift=0`` is
-    the doubling convention, ``shift=1`` the relabelled one x_a ->
-    [x_{2a-1}, x_{2a}] on base labels 1..2^n.  Only the distinct letters
-    are expanded level by level, into one 4^levels-letter block each; the
-    word is then read once, through a table of those blocks."""
-    distinct = tuple(set(letters))
-    flat = distinct
+def _images(letters: tuple[int, ...], levels: int) -> list[dict[int, tuple[int, ...]]]:
+    """The one-level images met on the way down ``levels`` levels from
+    ``letters``: one dict per level, top first, from each signed generator
+    reached at that level to its image, x_i -> (2i, 2i+1, -2i, -2i-1) and
+    x_i^-1 -> (2i+1, 2i, -2i-1, -2i)."""
+    layers: list[dict[int, tuple[int, ...]]] = []
+    reached = set(letters)
     for _ in range(levels):
-        table = {}
-        for l in set(flat):
-            i = 2 * abs(l) - shift
-            block = (i, i + 1, -i, -i - 1)
-            table[l] = block if l > 0 else (block[1], block[0], block[3], block[2])
-        flat = tuple(chain.from_iterable(map(table.__getitem__, flat)))
+        if layers:  # the letters of the images one level up
+            reached = set(chain.from_iterable(layers[-1].values()))
+        layer = {}
+        for l in reached:
+            j = 2 * abs(l)
+            layer[l] = (j, j + 1, -j, -j - 1) if l > 0 else (j + 1, j, -j - 1, -j)
+        layers.append(layer)
+    return layers
+
+
+def _expand(letters: tuple[int, ...], levels: int = 1) -> tuple[int, ...]:
+    """Letters of phi applied ``levels`` >= 1 times, by blocks: a letter's
+    depth-1 block is its image, and its depth-k block the tuple join of the
+    depth-(k-1) blocks of the four letters of its image, built bottom-up
+    over the :func:`_images` the expansion reaches.  The word is then read
+    once through the table of its letters' 4^levels-letter blocks.
+
+    No expansion holds a letter equal to its successor.  Every block starts
+    with a positive letter and ends with a negative one: an image does, and
+    a join starts with its first sub-block and ends with its last.  Inside
+    an image no two neighbours are equal (j, j + 1, -j, -j - 1 and their
+    swaps), and at every join of two blocks a negative letter meets a
+    positive one."""
+    layers = _images(letters, levels)
+    blocks = layers.pop()  # the depth-1 blocks are the images
+    while layers:
+        blocks = {
+            l: blocks[a] + blocks[b] + blocks[c] + blocks[d]
+            for l, (a, b, c, d) in layers.pop().items()
+        }
     if len(letters) == 1:  # the word is its one letter's block
-        return flat
-    if levels != 1:  # after one level, the table holds the blocks
-        size = 4**levels
-        table = {l: flat[j * size : (j + 1) * size] for j, l in enumerate(distinct)}
-    return tuple(chain.from_iterable(map(table.__getitem__, letters)))
+        return blocks[letters[0]]
+    out: list[int] = []
+    for l in letters:
+        out += blocks[l]
+    return tuple(out)
 
 
 def _decode_heads(letters: tuple[int, ...], levels: int) -> tuple[int, tuple[int, ...]]:

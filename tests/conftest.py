@@ -368,12 +368,16 @@ def oracle_strip(level: int, w: Word) -> TowerElement:
     return TowerElement(level, Word(letters))
 
 
+def relabel_to_base(letters: tuple[int, ...], level: int) -> tuple[int, ...]:
+    """Level-``level`` indices shifted down by 2^level - 1 onto 1..2^level."""
+    offset = 2**level - 1
+    return tuple(l - offset if l > 0 else l + offset for l in letters)
+
+
 def oracle_distinguished_word(n: int) -> Word:
     """x1 promoted to level n by the doubling convention, then every index
     shifted down by 2^n - 1 onto the base labels 1..2^n."""
-    offset = 2**n - 1
-    top = oracle_promote(TowerElement(0, Word((1,))), n).word
-    return Word(tuple(l - offset if l > 0 else l + offset for l in top.letters))
+    return Word(relabel_to_base(oracle_promote(TowerElement(0, Word((1,))), n).word.letters, n))
 
 
 def oracle_power_of(x: Word, a: Word) -> int | None:

@@ -32,6 +32,7 @@ from loctower.words import (
     IdentityWordError,
     LengthLimitError,
     Word,
+    format_word,
     invert,
     multiply,
     power,
@@ -496,9 +497,15 @@ class TestWitness:
                     relator = amalgam_normalize(group, (TPower(p**d), invert(x)))
                     t = amalgam_normalize(group, (TPower(1),))
                     expected = NonPerfectReport(
-                        n, group, prufer_quotient_map(group, relator), prufer_quotient_map(group, t)
+                        n,
+                        group,
+                        prufer_quotient_map(group, relator),
+                        prufer_quotient_map(group, t),
+                        format_word(x),
                     )
-                    assert witness_nonperfect(n, p, d).to_dict() == expected.to_dict()
+                    report = witness_nonperfect(n, p, d)
+                    assert report == expected
+                    assert report.to_dict() == expected.to_dict()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from loctower.adjunction import witness_nonperfect
 from loctower.roots import centralizer_generator, kth_root, primitive_root
 from loctower.tower import (
     TowerElement,
-    _expand,
     centralizer_compat,
     h_inverse,
     h_multiply,
@@ -42,13 +41,14 @@ from loctower.words import (
 
 from conftest import (
     is_cyclically_reduced,
-    level_index_range,
     level_letters,
     level_words,
     nonempty_words_strategy,
     oracle_distinguished_word,
+    oracle_expand,
     oracle_phi_preimage,
     oracle_promote,
+    relabel_to_base,
     words_strategy,
 )
 
@@ -198,22 +198,17 @@ class TestTrustedElements:
             assert mapped in (centralizer_generator(image), invert(centralizer_generator(image)))
 
 
-def relabel_to_base(w: Word, level: int) -> Word:
-    """Level-``level`` indices shifted down by 2^level - 1 onto 1..2^level."""
-    offset = level_index_range(level).start - 1
-    return Word(tuple(l - offset if l > 0 else l + offset for l in w.letters))
-
-
 class TestAdjunction:
     @given(st.integers(0, 5), st.data())
     def test_relabel_to_base(self, level, data):
         """The base-label expansion of a relabelled word is phi's image
         relabelled one level up."""
         w = data.draw(level_words(level, 16))
-        r = Word(_expand(relabel_to_base(w, level).letters, shift=1))
-        assert_valid(r)
+        r = Word(oracle_expand(relabel_to_base(w.letters, level), shift=1))
+        image = phi(level, w)
+        assert_valid(image)
         assert max_index(r) <= 2 ** (level + 1)
-        assert r == relabel_to_base(phi(level, w), level + 1)
+        assert r.letters == relabel_to_base(image.letters, level + 1)
 
     def test_relabel_promoted_generator(self):
         """x1 expanded in base labels is x1 promoted by the doubling

@@ -160,3 +160,12 @@ def test_integer_arguments_read_as_the_command_line_reads_them(name, args):
 def test_domain_errors_exit_1_without_a_traceback(name, message):
     code, out, lines, _ = probe_script(name, "--primes", "4")
     assert (code, out, lines) == (1, "", [message])
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_witness_sweep_refuses_a_depth_below_1(depth):
+    """An empty sweep is refused as ``loctower witness --depth 0`` is,
+    before any witness is built."""
+    code, out, lines, seconds = probe_script("witness_sweep.py", "--max-depth", depth)
+    assert (code, out, lines) == (1, "", ["error: depth must be >= 1"])
+    assert seconds < 1.0

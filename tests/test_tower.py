@@ -33,6 +33,7 @@ from loctower.words import (
     IDENTITY,
     Word,
     commutator,
+    format_word,
     invert,
     multiply,
     power,
@@ -53,6 +54,8 @@ from conftest import (
     random_nonempty_word,
     random_word,
     refused_at_once,
+    relabel_to_base,
+    words_strategy,
 )
 
 
@@ -589,8 +592,52 @@ class TestOnePassKernelsMatchPerLevelOracles:
             normalize(-1, IDENTITY)
 
     def test_relabelled_expansion_is_the_distinguished_word(self):
+        """x1 expanded level by level in the relabelled convention is the
+        word the witness builds from doubling blocks with shifted leaves."""
+        letters = (1,)
         for n in range(8):
-            assert Word(tower._expand((1,), n, shift=1)) == oracle_distinguished_word(n)
+            assert Word(letters) == oracle_distinguished_word(n)
+            assert adjunction._distinguished(n)[0] == letters
+            letters = oracle_expand(letters, shift=1)
+
+
+def has_equal_neighbours(letters: tuple[int, ...]) -> bool:
+    return any(a == b for a, b in zip(letters, letters[1:]))
+
+
+class TestBlockJoins:
+    """The two facts the block-built expansion rests on: it equals the
+    expansion one level per pass, and it never holds a letter equal to
+    its successor, so its text prints no power."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), words_strategy(rank=9, max_len=12))
+    def test_doubling_convention(self, levels, w):
+        expected = w.letters
+        for _ in range(levels):
+            expected = oracle_expand(expected)
+        out = tower._expand(w.letters, levels)
+        assert out == expected
+        assert not has_equal_neighbours(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 4), st.data())
+    def test_relabelled_convention(self, base, levels, data):
+        """On base labels, x_a -> [x_{2a-1}, x_{2a}] level by level is the
+        doubling expansion with each level-n index shifted down by 2^n - 1."""
+        w = data.draw(level_words(base, 12))
+        expected = relabel_to_base(w.letters, base)
+        for _ in range(levels):
+            expected = oracle_expand(expected, shift=1)
+        out = relabel_to_base(tower._expand(w.letters, levels), base + levels)
+        assert out == expected
+        assert not has_equal_neighbours(out)
+
+    def test_witness_text_is_the_formatted_word(self):
+        for n in range(9):
+            report = witness_nonperfect(n, 2, 1)
+            assert report.distinguished == format_word(oracle_distinguished_word(n))
+            assert report.to_dict()["distinguished"] == report.distinguished
 
 
 class TestOnePass:
@@ -600,17 +647,17 @@ class TestOnePass:
     @pytest.fixture
     def expansions(self, monkeypatch):
         """Run a call and list the (levels, letters out) of each expansion
-        made in tower and adjunction."""
+        made in tower and adjunction, counted where its blocks are built."""
         calls = []
-        expand = tower._expand
+        images = tower._images
 
-        def counting(letters, levels=1, shift=0):
-            out = expand(letters, levels, shift)
-            calls.append((levels, len(out)))
-            return out
+        def counting(letters, levels):
+            # the blocks of ``levels`` levels down, read once per letter
+            calls.append((levels, len(letters) * 4**levels))
+            return images(letters, levels)
 
-        monkeypatch.setattr(tower, "_expand", counting)
-        monkeypatch.setattr(adjunction, "_expand", counting)
+        monkeypatch.setattr(tower, "_images", counting)
+        monkeypatch.setattr(adjunction, "_images", counting)
 
         def record(call):
             calls.clear()

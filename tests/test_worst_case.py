@@ -12,6 +12,8 @@ Rows checked here:
 
 - ``build_graph`` on 4 random rank-3 words, by total letters;
 - ``promote`` of x1, and ``normalize`` of the result, by letters;
+- ``promote`` of a random 64-letter level-3 word over all 16 signed
+  level-3 generators by 4, 5 and 6 levels, by letters out;
 - ``witness_nonperfect(n, 3, 2)``, by the 4^n letters of its word;
 - ``amalgam_normalize`` over x1*x2 with p^d = 9 on
   t^(9k+1)*x2*t^(-9k)*x1, by the tail k;
@@ -75,6 +77,15 @@ def _promoted_x1(letters: int) -> tuple[int, Word]:
     return n, promote(X1, n).word
 
 
+def _level_3_word(letters: int) -> tuple[TowerElement, int]:
+    """A random 64-letter level-3 word over all 16 signed level-3
+    generators, and the level it promotes to with ``letters`` = 64 * 4^k
+    letters."""
+    w = Word(random_reduced_letters(random.Random(2), 64, range(8, 16)))
+    assert set(w.letters) == {s * i for i in range(8, 16) for s in (1, -1)}
+    return TowerElement(3, w), 3 + _level(letters // 64)
+
+
 LEVELS_7_TO_9 = (4**7, 4**8, 4**9)
 
 # name: (sizes, build the input for a size, the call timed, wall bound in
@@ -83,6 +94,7 @@ ROWS = {
     "build_graph": ((640, 10_240, 40_960), _random_generators, build_graph, 3.0),
     "promote_x1": (LEVELS_7_TO_9, _level, lambda n: promote(X1, n), 0.5),
     "normalize_x1": (LEVELS_7_TO_9, _promoted_x1, lambda a: normalize(*a), 0.5),
+    "promote_level_3": ((64 * 4**4, 64 * 4**5, 64 * 4**6), _level_3_word, lambda a: promote(*a), 0.5),
     "witness_nonperfect": (LEVELS_7_TO_9, _level, lambda n: witness_nonperfect(n, 3, 2), 1.0),
     "amalgam_tail": (
         (10_000, 40_000, 160_000),
