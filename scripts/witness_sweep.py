@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from loctower.adjunction import witness_nonperfect
+from loctower.adjunction import _check_relation, witness_nonperfect
 from loctower.cli import DEFAULT_MAX_LENGTH, _integer_option
 
 
@@ -26,11 +26,17 @@ def main() -> None:
 
     if args.max_depth < 1:  # the sweep would be empty: refused as loctower refuses depth 0
         sys.exit("error: depth must be >= 1")
+    depths = range(1, args.max_depth + 1)
     try:
+        # every pair, in sweep order, before any witness is built; the range
+        # is lazy, so a huge --max-depth stops at its first refused exponent
+        for p in args.primes:
+            for d in depths:
+                _check_relation(p, d)
         rows = [
             witness_nonperfect(args.level, p, d, DEFAULT_MAX_LENGTH).to_dict()
             for p in args.primes
-            for d in range(1, args.max_depth + 1)
+            for d in depths
         ]
     except ValueError as exc:  # a refusal, as loctower reports it
         sys.exit(f"error: {exc}")

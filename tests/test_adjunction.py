@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loctower import adjunction
 from loctower.adjunction import (
     MAX_RELATION_BITS,
     AdjunctionGroup,
@@ -467,6 +468,21 @@ class TestPruferQuotient:
             prufer_quotient_map(other, amalgam_identity(g))
 
 
+def _reference_report(n: int, x: Word, p: int, d: int) -> NonPerfectReport:
+    """The level-n report on the distinguished word x, its images read off
+    the normal forms of the defining relator t^(p^d) * x^-1 and of t."""
+    group = AdjunctionGroup(2**n, x, p, d)
+    relator = amalgam_normalize(group, (TPower(p**d), invert(x)))
+    t = amalgam_normalize(group, (TPower(1),))
+    return NonPerfectReport(
+        n,
+        group,
+        prufer_quotient_map(group, relator),
+        prufer_quotient_map(group, t),
+        format_word(x),
+    )
+
+
 class TestWitness:
     @pytest.mark.parametrize(
         "n,p,d",
@@ -488,24 +504,31 @@ class TestWitness:
     def test_reports_match_relabelled_promotion(self):
         """Every report equals the one built from x1 promoted to level n and
         then shifted onto base labels, for levels 0-7, p in {2, 3, 5} and
-        d in {1, 2, 3}."""
+        d in {1, 2, 3}.  The witness reads its images off the quotient map's
+        definition; the reference computes them here instead, from the
+        normal forms of the defining relator and of t."""
         for n in range(8):
             x = oracle_distinguished_word(n)
             for p in (2, 3, 5):
                 for d in (1, 2, 3):
-                    group = AdjunctionGroup(2**n, x, p, d)
-                    relator = amalgam_normalize(group, (TPower(p**d), invert(x)))
-                    t = amalgam_normalize(group, (TPower(1),))
-                    expected = NonPerfectReport(
-                        n,
-                        group,
-                        prufer_quotient_map(group, relator),
-                        prufer_quotient_map(group, t),
-                        format_word(x),
-                    )
+                    expected = _reference_report(n, x, p, d)
                     report = witness_nonperfect(n, p, d)
                     assert report == expected
                     assert report.to_dict() == expected.to_dict()
+
+    def test_builds_no_normal_form(self, monkeypatch):
+        """The witness calls neither the amalgam normal form nor the
+        quotient map, and its reports are unchanged for levels 0-6."""
+        cases = [(n, p, d) for n in range(7) for p in (2, 3, 5) for d in (1, 2, 3)]
+        words = [oracle_distinguished_word(n) for n in range(7)]
+        expected = [_reference_report(n, words[n], p, d) for n, p, d in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness built a normal form")
+
+        monkeypatch.setattr(adjunction, "amalgam_normalize", refuse)
+        monkeypatch.setattr(adjunction, "prufer_quotient_map", refuse)
+        assert [witness_nonperfect(*case) for case in cases] == expected
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -169,3 +169,17 @@ def test_witness_sweep_refuses_a_depth_below_1(depth):
     code, out, lines, seconds = probe_script("witness_sweep.py", "--max-depth", depth)
     assert (code, out, lines) == (1, "", ["error: depth must be >= 1"])
     assert seconds < 1.0
+
+
+def test_witness_sweep_refuses_a_deep_sweep_before_building():
+    """Every (prime, depth) pair is checked before the first witness is
+    built, so a sweep whose last depths pass the relation bound is refused
+    at once, not after 2,584 level-7 witnesses."""
+    code, out, lines, seconds = probe_script(
+        "witness_sweep.py", "--primes", "3", "--max-depth", "3000", "--level", "7"
+    )
+    assert (code, out) == (1, "")
+    assert lines == [
+        "error: relation exponent 3^2585 has more than 4096 bits (adjunction.MAX_RELATION_BITS)"
+    ]
+    assert seconds < 2.0

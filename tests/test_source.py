@@ -154,6 +154,56 @@ def test_int_callers_are_pinned():
     assert callers == INT_CALLERS
 
 
+# the functions in the package and the scripts that raise AssertionError,
+# each on a result that only a fault in the code can break
+SELF_CHECKS = {
+    # the returned witness is the answer: it must expand back to the word
+    ("stallings", "express"),
+    # the root of w is checked against the root of its image under phi
+    ("tower", "root_transfer"),
+    # cross-check mode exists to compare the levels it searched
+    ("tower", "has_p_root_in_H"),
+    # the survey's experiment is that the two modes agree
+    ("root_survey.py", "main"),
+}
+
+
+def test_self_checks_are_pinned():
+    """A self-check costs time on every call and guards only against a
+    fault in the code, so a new one needs an edit here, with its reason;
+    in the package, each message names its layer first."""
+    found = {}  # (module, function): the literal head of each message
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "AssertionError"
+        ):
+            head = node.exc.args[0] if node.exc.args else None
+            if isinstance(head, ast.JoinedStr):
+                head = head.values[0]
+            text = head.value if isinstance(head, ast.Constant) else ""
+            found.setdefault((module, owner), []).append(text)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, tree in ALL_TREES.items():
+        visit(tree, module, "<module>")
+    assert set(found) == SELF_CHECKS
+    unnamed = [
+        (module, owner, text)
+        for (module, owner), texts in found.items()
+        if module in TREES
+        for text in texts
+        if not text.startswith(f"{module}: ")
+    ]
+    assert unnamed == []
+
+
 def test_integer_options_use_the_integer_reader():
     """``add_argument(..., type=int)`` reads '+3', '3_000' and '٣' through
     ``int()``; the package's and the scripts' options go through

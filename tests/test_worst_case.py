@@ -95,7 +95,7 @@ ROWS = {
     "promote_x1": (LEVELS_7_TO_9, _level, lambda n: promote(X1, n), 0.5),
     "normalize_x1": (LEVELS_7_TO_9, _promoted_x1, lambda a: normalize(*a), 0.5),
     "promote_level_3": ((64 * 4**4, 64 * 4**5, 64 * 4**6), _level_3_word, lambda a: promote(*a), 0.5),
-    "witness_nonperfect": (LEVELS_7_TO_9, _level, lambda n: witness_nonperfect(n, 3, 2), 1.0),
+    "witness_nonperfect": (LEVELS_7_TO_9, _level, lambda n: witness_nonperfect(n, 3, 2), 0.25),
     "amalgam_tail": (
         (10_000, 40_000, 160_000),
         _tail_expression,
